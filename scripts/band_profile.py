@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from transpec import make_model, max_growth_rate, theta1_band
-from transpec.cli import _csv_lines, _svg_plot
+from transpec.cli import csv_lines, svg_plot
 
 
 def main():
@@ -52,8 +52,8 @@ def main():
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "band.csv").write_text(_csv_lines(rows, "rho_sq,max_growth"))
-    _svg_plot(str(out / "band.svg"), rows, "rho^2", "max Re lambda", connect=True)
+    (out / "band.csv").write_text(csv_lines(rows, "rho_sq,max_growth"))
+    svg_plot(str(out / "band.svg"), rows, "rho^2", "max Re lambda", connect=True)
     print(f"wrote {out}/band.csv, band.svg")
 
 

@@ -17,7 +17,7 @@ from transpec import (
     build_wave, collision_rho_squared, detect_bubbles, eig_dense,
     assemble_operator, make_model, omega, sweep,
 )
-from transpec.cli import _csv_lines, _svg_plot, dumps
+from transpec.cli import csv_lines, dumps, svg_plot
 
 
 def collision_frequency(model, k, xi):
@@ -63,10 +63,10 @@ def main():
     wave = build_wave(model, args.k, args.eps, check=False)
     res = eig_dense(assemble_operator(model, wave, rho, xi, args.N))
     (out / "spectrum.csv").write_text(
-        _csv_lines([(ev.real, ev.imag) for ev in res.eigenvalues], "re,im"))
-    _svg_plot(str(out / "spectrum.svg"),
-              [(float(ev.real), float(ev.imag)) for ev in res.eigenvalues],
-              "Re lambda", "Im lambda")
+        csv_lines([(ev.real, ev.imag) for ev in res.eigenvalues], "re,im"))
+    svg_plot(str(out / "spectrum.svg"),
+             [(float(ev.real), float(ev.imag)) for ev in res.eigenvalues],
+             "Re lambda", "Im lambda")
 
     results = sweep(model, args.k, args.eps, [float(rho)], [-xi, xi], N=args.N)
     bubbles = detect_bubbles(results, threshold=1e-4)

@@ -8,7 +8,6 @@ eigenvalue engine.
 
 from .collisions import (
     CollisionRecord,
-    ModeIndex,
     collision_floquet_window,
     collision_rho_squared,
     collision_wavenumber_window,
@@ -48,7 +47,6 @@ from .reduced import (
     long_wavelength_verdict,
     theta1_band,
     theta1_verdict,
-    theta_ge2_disc,
 )
 from .stokes import (
     StokesWave,
@@ -65,7 +63,6 @@ from .symbols import (
     HypothesisReport,
     ModelSpec,
     classify_monotonicity,
-    eval_symbol,
     make_model,
     validate_hypotheses,
 )

@@ -48,34 +48,28 @@ def _leaf(obj) -> Optional[str]:
     return None
 
 
-def dumps(obj, indent: int = 0) -> str:
-    """JSON text with floats rendered at fixed significant digits."""
+def dumps(obj, indent: int = 0, compact: bool = False) -> str:
+    """JSON text with floats rendered at fixed significant digits.
+
+    Containers open one item per line, indented by two spaces per level;
+    ``compact=True`` puts everything on one line instead.
+    """
+    if isinstance(obj, dict):
+        items = [f"{json.dumps(str(k))}: {dumps(v, indent + 2, compact)}" for k, v in obj.items()]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        items = [dumps(v, indent + 2, compact) for v in obj]
+        brackets = "[]"
+    else:
+        leaf = _leaf(obj)
+        if leaf is None:
+            raise ValidationError(f"cannot serialize {type(obj).__name__}")
+        return leaf
+    if compact or not items:
+        return brackets[0] + ", ".join(items) + brackets[1]
     pad = " " * indent
-    if isinstance(obj, dict):
-        items = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {dumps(v, indent + 2).lstrip()}'
-            for k, v in obj.items())
-        return f"{pad}{{\n{items}\n{pad}}}" if obj else pad + "{}"
-    if isinstance(obj, (list, tuple)):
-        items = ",\n".join(dumps(v, indent + 2) for v in obj)
-        return f"{pad}[\n{items}\n{pad}]" if len(obj) else pad + "[]"
-    leaf = _leaf(obj)
-    if leaf is None:
-        raise ValidationError(f"cannot serialize {type(obj).__name__}")
-    return pad + leaf
-
-
-def dumps_compact(obj) -> str:
-    """Single-line JSON with the same float formatting as ``dumps``."""
-    if isinstance(obj, dict):
-        return "{" + ", ".join(
-            f'{json.dumps(str(k))}: {dumps_compact(v)}' for k, v in obj.items()) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(dumps_compact(v) for v in obj) + "]"
-    leaf = _leaf(obj)
-    if leaf is None:
-        raise ValidationError(f"cannot serialize {type(obj).__name__}")
-    return leaf
+    body = ",\n".join(f"{pad}  {item}" for item in items)
+    return f"{brackets[0]}\n{body}\n{pad}{brackets[1]}"
 
 
 def _write_text(path: Optional[str], text: str) -> None:
@@ -87,7 +81,8 @@ def _write_text(path: Optional[str], text: str) -> None:
         Path(path).write_text(text)
 
 
-def _csv_lines(rows, header: str) -> str:
+def csv_lines(rows, header: str) -> str:
+    """CSV text: the header line, then one line of 17-digit floats per row."""
     lines = [header]
     for row in rows:
         lines.append(",".join(_fmt(float(v)) for v in row))
@@ -96,7 +91,7 @@ def _csv_lines(rows, header: str) -> str:
 
 # --- minimal SVG -------------------------------------------------------------
 
-def _svg_plot(path: str, pts, xlabel: str, ylabel: str, connect: bool = False) -> None:
+def svg_plot(path: str, pts, xlabel: str, ylabel: str, connect: bool = False) -> None:
     """Scatter (or polyline) of (x, y) points on fixed 640x480 axes."""
     W, H, M = 640, 480, 60
     xs = [p[0] for p in pts]
@@ -203,7 +198,7 @@ def _cmd_wave(args) -> int:
     if args.csv:
         zs = np.linspace(0.0, 2 * np.pi, int(args.samples), endpoint=False)
         rows = [(z, stokes.wave_profile(wave, z)) for z in zs]
-        _write_text(args.csv, _csv_lines(rows, "z,eta"))
+        _write_text(args.csv, csv_lines(rows, "z,eta"))
     return 0
 
 
@@ -232,7 +227,7 @@ def _cmd_collide(args) -> int:
     k = float(args.k) if args.k is not None else None
     records = collisions.enumerate_potentially_unstable(
         model, args.theta, args.perturbation, k=k)
-    out = "\n".join(dumps_compact(r.as_dict()) for r in records)
+    out = "\n".join(dumps(r.as_dict(), compact=True) for r in records)
     _write_text(getattr(args, "json", None), out)
     return 0
 
@@ -266,10 +261,10 @@ def _cmd_spectrum(args) -> int:
     _write_text(getattr(args, "json", None), dumps(result.as_dict()))
     if args.csv:
         rows = [(ev.real, ev.imag) for ev in result.eigenvalues]
-        _write_text(args.csv, _csv_lines(rows, "re,im"))
+        _write_text(args.csv, csv_lines(rows, "re,im"))
     if args.svg:
-        _svg_plot(args.svg, [(float(ev.real), float(ev.imag)) for ev in result.eigenvalues],
-                  "Re lambda", "Im lambda")
+        svg_plot(args.svg, [(float(ev.real), float(ev.imag)) for ev in result.eigenvalues],
+                 "Re lambda", "Im lambda")
     return 0
 
 
@@ -287,7 +282,7 @@ def _cmd_sweep(args) -> int:
     for i, res in enumerate(results):
         name = f"point_{i:04d}.csv"
         rows = [(ev.real, ev.imag) for ev in res.eigenvalues]
-        _write_text(str(out_dir / name), _csv_lines(rows, "re,im"))
+        _write_text(str(out_dir / name), csv_lines(rows, "re,im"))
         manifest["points"].append({
             "file": name, "rho": res.rho, "xi": res.xi,
             "max_real": res.max_real, "error": res.error,
@@ -297,7 +292,7 @@ def _cmd_sweep(args) -> int:
     _write_text(str(out_dir / "manifest.json"), dumps(manifest))
     if args.svg:
         pts = sorted((res.xi, res.max_real) for res in results if res.error is None)
-        _svg_plot(args.svg, pts, "xi", "max Re lambda", connect=True)
+        svg_plot(args.svg, pts, "xi", "max Re lambda", connect=True)
     return 0
 
 

@@ -17,28 +17,10 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import DomainError, ValidationError
-from .symbols import ModelSpec
+from .symbols import ModelSpec, _omega_at_zero_rho, _sign_changes
 
 #: rho^2 values with magnitude below this (relative to gamma) count as zero.
 _ZERO_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ModeIndex:
-    """A Fourier/Floquet mode label with composite frequency index p = n + xi."""
-
-    n: int
-    xi: float = 0.0
-
-    def __post_init__(self):
-        if not (-0.5 < self.xi <= 0.5):
-            raise DomainError(f"Floquet exponent must lie in (-1/2, 1/2], got {self.xi}")
-        if self.p == 0.0:
-            raise DomainError("mode with n + xi = 0 is excluded")
-
-    @property
-    def p(self) -> float:
-        return self.n + self.xi
 
 
 @dataclass(frozen=True)
@@ -76,16 +58,7 @@ def omega(model: ModelSpec, n: int, rho: float, xi: float, k: float) -> float:
         raise DomainError("omega undefined at n + xi = 0")
     if not (np.isfinite(k) and k > 0):
         raise DomainError(f"wavenumber must be positive, got {k}")
-    g = model.gamma
-    return (g * (p - 1.0 / p)
-            + k**2 * p * (model.j_eff(k) - model.j_eff(k * p))
-            - rho**2 / p)
-
-
-def _omega_at_zero_rho(model: ModelSpec, p: float, k: float) -> float:
-    """Frequency at rho = 0 as a function of the composite index p."""
-    g = model.gamma
-    return g * (p - 1.0 / p) + k**2 * p * (model.j_eff(k) - model.j_eff(k * p))
+    return _omega_at_zero_rho(model, p, k) - rho**2 / p
 
 
 def krein_signature(model: ModelSpec, n: int, rho: float, xi: float, k: float) -> int:
@@ -94,23 +67,27 @@ def krein_signature(model: ModelSpec, n: int, rho: float, xi: float, k: float) -
     return int(np.sign(w / (n + xi)))
 
 
-def collision_rho_squared(model: ModelSpec, n: int, m: int, xi: float, k: float) -> float:
+def collision_rho_squared(model: ModelSpec, n: int, m: int, xi, k):
     """The unique rho^2 at which modes n and m share a frequency.
 
-    A negative return value means the two frequencies never collide for real
-    rho at this (k, xi).
+    ``xi`` and ``k`` may be arrays; the result broadcasts over them.  A
+    negative value means the two frequencies never collide for real rho at
+    that (k, xi).
     """
-    p = n + xi
-    q = m + xi
-    if p == 0.0 or q == 0.0:
+    xi = np.asarray(xi, dtype=float)
+    kk = np.asarray(k, dtype=float)
+    if kk.ndim > xi.ndim:  # the stacked pair [p, q] below must broadcast against k
+        xi = np.broadcast_to(xi, kk.shape)
+    p, q = n + xi, m + xi
+    if not (p.all() and q.all()):
         raise DomainError("collision undefined when a composite index vanishes")
-    if p == q:
+    if n == m:
         raise DomainError("collision needs two distinct modes")
-    if not (np.isfinite(k) and k > 0):
+    if not ((kk > 0) & np.isfinite(kk)).all():
         raise DomainError(f"wavenumber must be positive, got {k}")
-    ap = _omega_at_zero_rho(model, p, k)
-    aq = _omega_at_zero_rho(model, q, k)
-    return p * q * (ap - aq) / (q - p)
+    ap, aq = _omega_at_zero_rho(model, np.array([p, q]), kk)
+    rho_sq = p * q * (ap - aq) / (q - p)
+    return rho_sq if rho_sq.ndim else float(rho_sq)
 
 
 def is_origin_collision(n: int, theta: int, xi: float) -> bool:
@@ -122,62 +99,20 @@ def is_origin_collision(n: int, theta: int, xi: float) -> bool:
     return False
 
 
-def _rho_sq_over_k(model: ModelSpec, n: int, m: int, xi: float,
-                   karr: np.ndarray) -> np.ndarray:
-    """Vectorized rho^2(k) at fixed mode pair and Floquet exponent."""
-    p = n + xi
-    q = m + xi
-    g = model.gamma
-    jk = model.j_eff(karr)
-    ap = g * (p - 1.0 / p) + karr**2 * p * (jk - model.j_eff(karr * p))
-    aq = g * (q - 1.0 / q) + karr**2 * q * (jk - model.j_eff(karr * q))
-    return p * q * (ap - aq) / (q - p)
+def _positive_windows(f, grid: np.ndarray, vals: np.ndarray, lo_open: float,
+                      hi_open: float) -> List[Tuple[float, float]]:
+    """Maximal intervals where ``vals = f(grid) > 0``, edges refined on ``f``.
 
-
-def _rho_sq_over_xi(model: ModelSpec, n: int, m: int, xiarr: np.ndarray,
-                    k: float) -> np.ndarray:
-    """Vectorized rho^2(xi) at fixed mode pair and wavenumber."""
-    p = n + xiarr
-    q = m + xiarr
-    g = model.gamma
-    jk = model.j_eff(k)
-    ap = g * (p - 1.0 / p) + k**2 * p * (jk - model.j_eff(k * p))
-    aq = g * (q - 1.0 / q) + k**2 * q * (jk - model.j_eff(k * q))
-    return p * q * (ap - aq) / (q - p)
-
-
-def _refine_root(f, a: float, b: float) -> float:
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return float(a)
-    if fb == 0.0:
-        return float(b)
-    return float(brentq(f, a, b, xtol=1e-12))
-
-
-def _positive_intervals(grid: np.ndarray, vals: np.ndarray, solve,
-                        lo_open: float, hi_open: float) -> List[Tuple[float, float]]:
-    """Maximal intervals where ``vals > 0``; sign flips refined by ``solve``.
-
-    Intervals still positive at a scan edge are extended to ``lo_open`` or
-    ``hi_open`` (typically 0 and inf) since the scan cannot bound them.
+    Zero values count as non-positive (``brentq`` returns a cell end where f
+    vanishes).  Intervals still positive at a scan edge are extended to
+    ``lo_open`` or ``hi_open`` (typically 0 and inf) since the scan cannot
+    bound them.
     """
     pos = vals > 0.0
-    intervals: List[Tuple[float, float]] = []
-    i = 0
-    size = grid.size
-    while i < size:
-        if not pos[i]:
-            i += 1
-            continue
-        start = lo_open if i == 0 else solve(grid[i - 1], grid[i])
-        j = i
-        while j + 1 < size and pos[j + 1]:
-            j += 1
-        end = hi_open if j == size - 1 else solve(grid[j], grid[j + 1])
-        intervals.append((float(start), float(end)))
-        i = j + 1
-    return intervals
+    edges = _sign_changes(grid, np.where(pos, 1.0, -1.0),
+                          lambda a, b: brentq(f, a, b, xtol=1e-12))
+    bounds = [lo_open] * bool(pos[0]) + edges + [hi_open] * bool(pos[-1])
+    return [(float(a), float(b)) for a, b in zip(bounds[::2], bounds[1::2])]
 
 
 def collision_wavenumber_window(model: ModelSpec, n: int, theta: int, xi: float = 0.0,
@@ -193,18 +128,16 @@ def collision_wavenumber_window(model: ModelSpec, n: int, theta: int, xi: float 
     if theta < 1:
         raise ValidationError("theta must be a positive integer")
     m = n + theta
-    if n + xi == 0.0 or m + xi == 0.0:
-        raise DomainError("collision undefined when a composite index vanishes")
     grid = np.geomspace(k_range[0], k_range[1], brackets + 1)
-    vals = _rho_sq_over_k(model, n, m, xi, grid)
+
+    def rho_sq(k):
+        return collision_rho_squared(model, n, m, xi, k)
+
+    vals = rho_sq(grid)
     scale = max(model.gamma, float(np.max(np.abs(vals))))
     if np.max(np.abs(vals)) <= _ZERO_TOL * scale:
         return [(0.0, math.inf)]
-
-    def solve(a, b):
-        return _refine_root(lambda k: collision_rho_squared(model, n, m, xi, k), a, b)
-
-    return _positive_intervals(grid, vals, solve, 0.0, math.inf)
+    return _positive_windows(rho_sq, grid, vals, 0.0, math.inf)
 
 
 def collision_floquet_window(model: ModelSpec, n: int, theta: int, k: float,
@@ -218,12 +151,11 @@ def collision_floquet_window(model: ModelSpec, n: int, theta: int, k: float,
     grid = np.linspace(0.5 / samples, 0.5, samples)
     # composite indices must stay nonzero on the scan
     grid = grid[(np.abs(grid + n) > 1e-9) & (np.abs(grid + m) > 1e-9)]
-    vals = _rho_sq_over_xi(model, n, m, grid, k)
 
-    def solve(a, b):
-        return _refine_root(lambda xi: collision_rho_squared(model, n, m, xi, k), a, b)
+    def rho_sq(xi):
+        return collision_rho_squared(model, n, m, xi, k)
 
-    return _positive_intervals(grid, vals, solve, 0.0, 0.5)
+    return _positive_windows(rho_sq, grid, rho_sq(grid), 0.0, 0.5)
 
 
 def _window_witness(window: Tuple[float, float]) -> float:

@@ -124,6 +124,11 @@ def assemble_operator(model: ModelSpec, wave: StokesWave, rho: float, xi: float,
                           rho=float(rho), xi=float(xi))
 
 
+def _rounding_floor(ev: np.ndarray) -> float:
+    """Real parts below this are rounding: 10 machine epsilons of max |lambda|."""
+    return 10.0 * np.finfo(float).eps * max(float(np.max(np.abs(ev))), 1.0)
+
+
 def _sorted_eigs(ev: np.ndarray) -> np.ndarray:
     order = np.lexsort((ev.real, ev.imag))
     return ev[order]
@@ -219,9 +224,9 @@ def spectrum_at(model: ModelSpec, k: float, eps: float, rho: float, xi: float,
 
 def max_growth_rate(model: ModelSpec, k: float, eps: float, rho: float, xi: float,
                     N: int = 64) -> float:
-    """Largest real part over the truncated spectrum (clamped at 0)."""
+    """Largest real part over the truncated spectrum; 0 below the rounding floor."""
     res = spectrum_at(model, k, eps, rho, xi, N)
-    return max(res.max_real, 0.0)
+    return res.max_real if res.max_real >= _rounding_floor(res.eigenvalues) else 0.0
 
 
 def _thread_count() -> int:
@@ -268,7 +273,8 @@ def detect_bubbles(results: Sequence[SpectrumResult], threshold: Optional[float]
                    gap: float = 0.05) -> List[Bubble]:
     """Cluster unstable eigenvalues into isolated bubbles on the imaginary axis.
 
-    Eigenvalues with real part above ``threshold`` are paired with their
+    Eigenvalues with real part above ``threshold`` (default: the rounding
+    floor of the largest spectrum) are paired with their
     mirror partner (reflection through the imaginary axis), clustered by
     imaginary-part proximity with the given ``gap``, and summarized by the
     mean pair midpoint.
@@ -276,9 +282,8 @@ def detect_bubbles(results: Sequence[SpectrumResult], threshold: Optional[float]
     finite = [r for r in results if r.error is None and r.eigenvalues.size]
     if not finite:
         return []
-    scale = max(float(np.max(np.abs(r.eigenvalues))) for r in finite)
     if threshold is None:
-        threshold = 10.0 * np.finfo(float).eps * max(scale, 1.0)
+        threshold = max(_rounding_floor(r.eigenvalues) for r in finite)
     hits = []  # (imag of midpoint, midpoint, growth, xi, rho)
     for r in finite:
         ev = r.eigenvalues

@@ -18,8 +18,8 @@ import numpy as np
 
 from .collisions import collision_rho_squared, omega
 from .errors import DomainError, ValidationError
-from .stokes import check_resonance, stokes_coefficients
-from .symbols import ModelSpec, make_model
+from .stokes import _eta2, check_resonance
+from .symbols import ModelSpec, _sign_changes, make_model
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -100,54 +100,45 @@ def golden_max(f, lo: float, hi: float, tol: float = 1e-8) -> Tuple[float, float
     return x, f(x)
 
 
-def _sign_flip_points(f, k_range=(1e-3, 1e3), brackets: int = 512,
-                      xtol: float = 1e-12) -> List[float]:
-    """Locations where sign(f(k)) flips, found by bisection on the sign.
+def _sign_at(f, x) -> float:
+    """Sign of f(x); 0 where f rejects x or is not finite there."""
+    try:
+        v = f(x)
+    except ValidationError:
+        return 0.0
+    return float(np.sign(v)) if np.isfinite(v) else 0.0
+
+
+def _flips(f, grid: np.ndarray, values, xtol: float = 1e-12) -> List[float]:
+    """Points where sign(f) flips between grid neighbours, by bisection on the sign.
 
     Bisection on the sign converges on both roots and poles of f, which is
     what a verdict boundary can be.
     """
-    grid = np.geomspace(k_range[0], k_range[1], brackets + 1)
-    signs = []
-    for k in grid:
-        try:
-            v = f(k)
-            signs.append(0.0 if not np.isfinite(v) else np.sign(v))
-        except ValidationError:
-            signs.append(0.0)
-    flips = []
-    for i in range(len(signs) - 1):
-        s0, s1 = signs[i], signs[i + 1]
-        if s0 == 0.0 or s1 == 0.0 or s0 == s1:
-            continue
-        a, b = grid[i], grid[i + 1]
+    def bisect(a, b):
+        s0 = _sign_at(f, a)
         while b - a > xtol:
             mid = 0.5 * (a + b)
-            try:
-                sm = np.sign(f(mid))
-            except ValidationError:
-                sm = 0.0
-            if sm == s0:
+            if _sign_at(f, mid) == s0:
                 a = mid
             else:
                 b = mid
-        flips.append(0.5 * (a + b))
-    return flips
+        return 0.5 * (a + b)
+
+    return _sign_changes(grid, values, bisect)
 
 
 # --- long-wavelength channel ------------------------------------------------
 
-def _lw_margin_raw(model: ModelSpec, k: float) -> float:
-    """Unguarded margin; +-inf exactly at the first resonance (a verdict pole)."""
-    eta2 = 2.0 * model.alpha1 * k**2 / (
-        3.0 * model.gamma + 4.0 * k**2 * (model.j_eff(k) - model.j_eff(2 * k)))
-    return 1.5 * model.alpha2 + 2.0 * model.alpha1 * eta2
+def _lw_margin_raw(model: ModelSpec, k):
+    """Unguarded margin; poles exactly at the first resonance (a verdict boundary)."""
+    return 1.5 * model.alpha2 + 2.0 * model.alpha1 * _eta2(model, k)
 
 
 def lw_margin(model: ModelSpec, k: float) -> float:
     """Margin (3/2) alpha2 + 2 alpha1 eta2(k); negative means unstable."""
-    eta2, _, _ = stokes_coefficients(model, k)
-    return 1.5 * model.alpha2 + 2.0 * model.alpha1 * eta2
+    check_resonance(model, k)
+    return float(_lw_margin_raw(model, k))
 
 
 def long_wavelength_lambda2(model: ModelSpec, k: float, eps: float, rho: float) -> float:
@@ -168,17 +159,16 @@ def long_wavelength_verdict(model: ModelSpec, k: float,
     """Verdict for co-periodic perturbations with long transverse wavelength."""
     margin = lw_margin(model, k)
     unstable = margin < 0
-    flips = _sign_flip_points(lambda kk: _lw_margin_raw(model, kk), k_range)
+    grid = np.geomspace(k_range[0], k_range[1], 513)
+    flips = _flips(lambda kk: _lw_margin_raw(model, kk), grid, _lw_margin_raw(model, grid))
     thresholds: Dict[str, float] = {"lw_margin": float(margin)}
     for i, kf in enumerate(flips):
         thresholds["k_lw" if i == 0 else f"k_lw_{i + 1}"] = float(kf)
     kdv_family = _is_kdv_quadratic(model)
-    if unstable:
+    if unstable or flips:
         tag = "t1" if kdv_family else "t5"
-    elif not flips:
-        tag = "t3" if kdv_family else "t7"
     else:
-        tag = "t1" if kdv_family else "t5"
+        tag = "t3" if kdv_family else "t7"
     return Verdict(
         outcome="unstable" if unstable else "stable",
         theorem=tag,
@@ -227,40 +217,25 @@ def theta1_verdict(model: ModelSpec, k: float, k_range=(1e-3, 1e3)) -> Verdict:
                                     "rho_c_sq_max": float(best)}
     if unstable:
         thresholds["rho_c"] = math.sqrt(best)
-    flips = _sign_flip_points(lambda kk: _max_band_rho_sq(model, kk)[1], k_range,
-                              brackets=160)
+
+    def band_peak(kk):
+        return _max_band_rho_sq(model, kk)[1]
+
+    grid = np.geomspace(k_range[0], k_range[1], 161)
+    flips = _flips(band_peak, grid, [_sign_at(band_peak, kk) for kk in grid])
     for i, kf in enumerate(flips):
         thresholds["k_t1b" if i == 0 else f"k_t1b_{i + 1}"] = float(kf)
     kdv_family = _is_kdv_quadratic(model)
-    if unstable:
+    if unstable or flips:
         tag = "t2" if kdv_family else "t6"
-    elif not flips:
-        tag = "t3" if kdv_family else "t7"
     else:
-        tag = "t2" if kdv_family else "t6"
+        tag = "t3" if kdv_family else "t7"
     return Verdict(
         outcome="unstable" if unstable else "stable",
         theorem=tag,
         thresholds=thresholds,
         conditions=[("rho_c^2(xi) > 0 for some xi in (0, 1/2]", bool(unstable))],
     )
-
-
-def theta_ge2_disc(model: ModelSpec, n: int, theta: int, xi: float,
-                   varsigma: float, eps: float, beta2: float, k: float) -> float:
-    """Leading two terms of the separation discriminant for theta >= 2 pairs.
-
-    ``beta2`` is the unknown quadratic expansion coefficient of the operator;
-    the stability conclusion needs only that the result is a sum of squares.
-    """
-    if theta < 2:
-        raise ValidationError("this discriminant applies to theta >= 2")
-    p = n + xi
-    q = n + xi + theta
-    if p == 0.0 or q == 0.0:
-        raise DomainError("degenerate composite index in discriminant")
-    return (theta**2 * varsigma**2 / (p**2 * q**2)
-            + k**4 * theta**2 * beta2**2 * eps**4)
 
 
 def classify(model: ModelSpec, k: float) -> Verdict:
@@ -285,10 +260,8 @@ def classify(model: ModelSpec, k: float) -> Verdict:
 # --- existence-over-k atlas ---------------------------------------------------
 
 def _exists_lw_unstable(model: ModelSpec, k_grid: np.ndarray) -> Tuple[bool, Optional[float]]:
-    for k in k_grid:
-        if _lw_margin_raw(model, k) < 0:
-            return True, float(k)
-    return False, None
+    negative = np.nonzero(_lw_margin_raw(model, k_grid) < 0)[0]
+    return (True, float(k_grid[negative[0]])) if negative.size else (False, None)
 
 
 def _exists_band_unstable(model: ModelSpec, k_grid: np.ndarray) -> Tuple[bool, Optional[float]]:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import AmplitudeValidityWarning, DomainError, ResonanceError, ValidationError
-from .symbols import ModelSpec
+from .symbols import ModelSpec, _omega_at_zero_rho, _sign_changes
 
 #: Default half-distance in k below which a wavenumber counts as resonant.
 RESONANCE_TOL = 1e-6
@@ -54,9 +54,17 @@ def phase_speed_c0(model: ModelSpec, k: float) -> float:
     return model.j_eff(k) + model.gamma / k**2
 
 
-def _resonance_mismatch(model: ModelSpec, k: float, n: int) -> float:
-    """Zero exactly when the fundamental and the n-th harmonic co-propagate."""
-    return k**2 * (model.j_eff(k * n) - model.j_eff(k)) - model.gamma * (n**2 - 1) / n**2
+def _resonance_mismatch(model: ModelSpec, k, n):
+    """Zero exactly when the fundamental and the n-th harmonic co-propagate.
+
+    Equals k^2 (j(k n) - j(k)) - gamma (n^2 - 1)/n^2; broadcasts over k and n.
+    """
+    return -_omega_at_zero_rho(model, n, k) / n
+
+
+def _eta2(model: ModelSpec, k):
+    """Second-harmonic coefficient without the resonance guard; poles at n = 2 resonances."""
+    return 2 * model.alpha1 * k**2 / (-4 * _resonance_mismatch(model, k, 2))
 
 
 def resonant_wavenumbers(model: ModelSpec, k_range=(1e-3, 1e3), n_max: int = 8,
@@ -73,16 +81,13 @@ def resonant_wavenumbers(model: ModelSpec, k_range=(1e-3, 1e3), n_max: int = 8,
     if n_max < 2:
         raise ValidationError("n_max must be at least 2")
     grid = np.geomspace(lo, hi, brackets + 1)
+    ns = range(2, n_max + 1)
     found = []
-    for n in range(2, n_max + 1):
-        vals = np.array([_resonance_mismatch(model, k, n) for k in grid])
-        sign = np.sign(vals)
-        for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-            root = brentq(lambda k: _resonance_mismatch(model, k, n),
-                          grid[i], grid[i + 1], xtol=1e-14)
-            found.append((float(root), n))
-        for i in np.nonzero(vals == 0.0)[0]:
-            found.append((float(grid[i]), n))
+    for n, vals in zip(ns, _resonance_mismatch(model, grid, np.array(ns)[:, None])):
+        def mismatch(k, n=n):
+            return _resonance_mismatch(model, k, n)
+        roots = _sign_changes(grid, vals, lambda a, b: brentq(mismatch, a, b, xtol=1e-14))
+        found += [(float(k), n) for k in [*roots, *grid[vals == 0.0]]]
     return sorted(set(found))
 
 
@@ -93,25 +98,25 @@ def check_resonance(model: ModelSpec, k: float, tol: float = RESONANCE_TOL,
         raise DomainError(f"wavenumber must be positive, got {k}")
     lo = max(k - tol, 1e-30)
     hi = k + tol
-    for n in range(2, n_max + 1):
-        f_lo = _resonance_mismatch(model, lo, n)
-        f_hi = _resonance_mismatch(model, hi, n)
-        if f_lo == 0.0 or f_hi == 0.0 or (f_lo < 0) != (f_hi < 0):
-            root = brentq(lambda kk: _resonance_mismatch(model, kk, n), lo, hi,
-                          xtol=1e-14) if f_lo * f_hi < 0 else k
-            raise ResonanceError(k, n, float(root))
+    ns = np.arange(2, n_max + 1)
+    f_lo = _resonance_mismatch(model, lo, ns)
+    f_hi = _resonance_mismatch(model, hi, ns)
+    hit = (f_lo == 0.0) | (f_hi == 0.0) | ((f_lo < 0) != (f_hi < 0))
+    if hit.any():
+        i = int(np.argmax(hit))
+        n = int(ns[i])
+        root = brentq(lambda kk: _resonance_mismatch(model, kk, n), lo, hi,
+                      xtol=1e-14) if f_lo[i] * f_hi[i] < 0 else k
+        raise ResonanceError(k, n, float(root))
 
 
 def stokes_coefficients(model: ModelSpec, k: float,
                         resonance_tol: float = RESONANCE_TOL):
     """Harmonic coefficients (eta2, eta3) and speed correction c2 at wavenumber k."""
     check_resonance(model, k, tol=resonance_tol)
-    g, a1, a2 = model.gamma, model.alpha1, model.alpha2
-    jk = model.j_eff(k)
-    d2 = 3 * g + 4 * k**2 * (jk - model.j_eff(2 * k))
-    d3 = 8 * g + 9 * k**2 * (jk - model.j_eff(3 * k))
-    eta2 = 2 * a1 * k**2 / d2
-    eta3 = (9 * a1 * k**2 * eta2 + 2.25 * a2 * k**2) / d3
+    a1, a2 = model.alpha1, model.alpha2
+    eta2 = _eta2(model, k)
+    eta3 = (9 * a1 * k**2 * eta2 + 2.25 * a2 * k**2) / (-9 * _resonance_mismatch(model, k, 3))
     c2 = a1 * eta2 + 0.75 * a2
     return float(eta2), float(eta3), float(c2)
 

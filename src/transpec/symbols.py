@@ -77,7 +77,7 @@ class DispersionSymbol:
     def evaluate(self, kappa):
         """Evaluate j(kappa); even in kappa by construction for built-ins."""
         kappa = np.asarray(kappa, dtype=float)
-        if not np.all(np.isfinite(kappa)):
+        if not np.isfinite(kappa).all():
             raise DomainError("dispersion symbol evaluated at non-finite kappa")
         x = np.abs(kappa)
         if self.id == "kdv":
@@ -94,7 +94,7 @@ class DispersionSymbol:
             out = np.full_like(x, self.constant)
         else:
             out = np.asarray(self.fn(kappa), dtype=float)
-        out = np.reshape(out, kappa.shape)
+        out = out.reshape(kappa.shape)
         return out if out.ndim else float(out)
 
     @property
@@ -173,9 +173,24 @@ class ModelSpec:
         return self.beta * self.symbol.evaluate(kappa)
 
 
-def eval_symbol(model: ModelSpec, kappa) -> float:
-    """Evaluate the effective symbol beta * j at kappa (scalar or array)."""
-    return model.j_eff(kappa)
+def _omega_at_zero_rho(model: ModelSpec, p, k):
+    """Frequency at rho = 0 of the mode with composite index p = n + xi.
+
+    The closed form gamma (p - 1/p) + k^2 p (j(k) - j(k p)) behind every
+    collision, resonance and verdict; broadcasts over arrays of p and k.
+    """
+    return model.gamma * (p - 1.0 / p) + k**2 * p * (model.j_eff(k) - model.j_eff(k * p))
+
+
+def _sign_changes(grid, values, refine) -> list:
+    """``refine(a, b)`` on each grid cell whose end values have opposite signs.
+
+    Zero and non-finite values carry no sign, so cells touching them are
+    skipped.
+    """
+    values = np.asarray(values, dtype=float)
+    signs = np.where(np.isfinite(values), np.sign(values), 0.0)
+    return [refine(grid[i], grid[i + 1]) for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]]
 
 
 # --- named model registry -------------------------------------------------

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from transpec.cli import dumps, dumps_compact, run
+from transpec.cli import dumps, run
 
 
 def run_cli(capsys, *argv):
@@ -179,7 +179,7 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 def test_seventeen_digit_floats():
     text = dumps({"x": 1.0 / 3.0})
     assert "0.33333333333333331" in text
-    assert dumps_compact([1.0 / 3.0]) == "[0.33333333333333331]"
+    assert dumps([1.0 / 3.0], compact=True) == "[0.33333333333333331]"
 
 
 def test_env_thread_cap(tmp_path, capsys, monkeypatch):

@@ -138,6 +138,33 @@ def test_collision_rho_squared_example():
         collision_rho_squared(m, 2, 2, 0.3, 1.0)
 
 
+@pytest.mark.parametrize("mid", MODELS)
+def test_collision_rho_squared_broadcasts_over_xi_and_k(mid):
+    m = make_model(mid, gamma=1.3, beta=-1.0 if mid == "rm-whitham-kp" else 1.0)
+    xis = np.linspace(0.01, 0.5, 37)
+    ks = np.geomspace(0.05, 20.0, 41)
+    for n, mm in [(-1, 0), (-2, 1), (-3, 1), (1, 3)]:
+        over_xi = collision_rho_squared(m, n, mm, xis, 1.7)
+        over_k = collision_rho_squared(m, n, mm, 0.3, ks)
+        assert over_xi.shape == xis.shape and over_k.shape == ks.shape
+        for xi, val in zip(xis, over_xi):
+            ref = collision_rho_squared(m, n, mm, float(xi), 1.7)
+            assert abs(val - ref) <= 1e-13 * max(1.0, abs(ref))
+        for k, val in zip(ks, over_k):
+            ref = collision_rho_squared(m, n, mm, 0.3, float(k))
+            assert abs(val - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+def test_collision_rho_squared_array_rejects_any_vanishing_index():
+    m = make_model("rmkp", gamma=1.0, beta=1.0)
+    with pytest.raises(DomainError):
+        collision_rho_squared(m, -1, 0, np.array([0.2, 0.0, 0.4]), 1.0)
+    with pytest.raises(DomainError):
+        collision_rho_squared(m, -2, 1, np.array([0.5, 2.0]), 1.0)
+    with pytest.raises(DomainError):
+        collision_rho_squared(m, -1, 0, 0.3, np.array([1.0, 0.0]))
+
+
 def _bisect_collision(m, n, mm, xi, k, hi=400.0):
     """Root of Omega_n(rho) - Omega_m(rho) in rho^2 by plain bisection."""
     def gap(s):
@@ -294,16 +321,6 @@ def test_enumerate_krein_filter():
                 assert omega(m, r.n, r.rho_c, r.xi, r.k) == pytest.approx(
                     omega(m, r.m, r.rho_c, r.xi, r.k),
                     rel=1e-10, abs=1e-10)
-
-
-def test_mode_index_invariants():
-    from transpec import ModeIndex
-
-    assert ModeIndex(2, 0.25).p == 2.25
-    with pytest.raises(DomainError):
-        ModeIndex(0, 0.0)
-    with pytest.raises(DomainError):
-        ModeIndex(1, 0.75)
 
 
 def test_origin_collision_patterns():

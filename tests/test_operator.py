@@ -183,6 +183,17 @@ def test_band_growth_agreement():
         assert max_growth_rate(m, k, eps, rho, xi, N=64) < 1e-7
 
 
+def test_growth_rate_reads_rounding_as_zero():
+    # five band half-widths above the k = 2 band at N = 256: the raw max Re
+    # lambda is rounding on eigenvalues with |lambda| ~ 3e8, below the floor
+    m = make_model("rmkp", gamma=1.0, beta=1.0)
+    k, eps, xi, N = 2.0, 0.01, 0.45, 256
+    rho = math.sqrt(collision_rho_squared(m, -1, 0, xi, k) + 0.1)
+    ev = spectrum_at(m, k, eps, rho, xi, N).eigenvalues
+    assert np.max(ev.real) < 10 * np.finfo(float).eps * np.max(np.abs(ev))
+    assert max_growth_rate(m, k, eps, rho, xi, N) == 0.0
+
+
 def test_separated_pair_does_not_bifurcate():
     m = make_model("rmkp", gamma=1.0, beta=1.0)
     k = 0.55
@@ -233,6 +244,18 @@ def test_shift_invert_far_shift():
     far = dense.eigenvalues[np.argsort(np.abs(dense.eigenvalues - 1e3))[:3]]
     for lam in si.eigenvalues:
         assert np.min(np.abs(far - lam)) < 1e-6
+
+
+def test_shift_invert_at_the_bubble_matches_dense():
+    m = make_model("rmkp", gamma=1.0, beta=1.0)
+    wave = build_wave(m, 2.0, 0.01, check=False)
+    xi, N = 0.4789, 64
+    rho = math.sqrt(collision_rho_squared(m, -1, 0, xi, 2.0))
+    si = shift_invert_eigs(m, wave, rho, -xi, N, shift=0.37916j, count=4)
+    dense = eig_dense(assemble_operator(m, wave, rho, -xi, N)).eigenvalues
+    assert np.max(si.eigenvalues.real) > 0.01
+    for lam in si.eigenvalues:
+        assert np.min(np.abs(dense - lam)) < 1e-10 * max(1.0, abs(lam))
 
 
 def test_shift_invert_diagonal_case():

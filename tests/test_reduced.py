@@ -1,12 +1,10 @@
 import math
 
-import numpy as np
 import pytest
 
 from transpec import (
     ATLAS_COLUMNS,
     ResonanceError,
-    ValidationError,
     atlas,
     classify,
     long_wavelength_lambda2,
@@ -14,11 +12,8 @@ from transpec import (
     make_model,
     theta1_band,
     theta1_verdict,
-    theta_ge2_disc,
 )
 from transpec.reduced import _lw_margin_raw, golden_max
-
-RNG = np.random.default_rng(515031)
 
 
 # --- long-wavelength channel -------------------------------------------------
@@ -213,31 +208,6 @@ def test_golden_max_finds_quadratic_peak():
     x, val = golden_max(lambda t: -(t - 0.3) ** 2, 1e-4, 0.5)
     assert x == pytest.approx(0.3, abs=1e-6)
     assert val == pytest.approx(0.0, abs=1e-10)
-
-
-# --- separated-pair discriminant ------------------------------------------------
-
-def test_disc_examples():
-    m = make_model("rmkp", gamma=1.0, beta=1.0)
-    assert theta_ge2_disc(m, -1, 2, 0.0, 0.0, 0.01, 0.0, k=1.0) == 0.0
-    val = theta_ge2_disc(m, -1, 2, 0.0, 0.01, 0.01, 3.7, k=1.0)
-    assert val == pytest.approx(4e-4 + 4 * 3.7**2 * 1e-8, rel=1e-12)
-    with pytest.raises(ValidationError):
-        theta_ge2_disc(m, -1, 1, 0.0, 0.0, 0.01, 0.0, k=1.0)
-
-
-def test_disc_nonnegative_random():
-    m = make_model("rmbo-kp", gamma=1.0, beta=1.0)
-    for _ in range(10_000):
-        n = int(RNG.integers(-6, 7))
-        theta = int(RNG.integers(2, 6))
-        xi = float(RNG.uniform(-0.45, 0.5))
-        if abs(n + xi) < 1e-6 or abs(n + theta + xi) < 1e-6:
-            continue
-        val = theta_ge2_disc(m, n, theta, xi,
-                             float(RNG.normal()), float(RNG.uniform(0, 0.1)),
-                             float(RNG.normal()), k=float(RNG.uniform(0.2, 2.0)))
-        assert val >= 0.0
 
 
 # --- merged verdict and atlas ----------------------------------------------------

@@ -52,6 +52,16 @@ def test_resonances_rmkp():
     assert ks[2] == pytest.approx(0.5 * (a + b), abs=1e-10)
 
 
+def test_resonances_match_closed_forms():
+    # k^4 (n^2 - 1) = (n^2 - 1)/n^2 for kappa^2, k^3 (n - 1) = (n^2 - 1)/n^2 for |kappa|
+    closed = {"rmkp": lambda n: n**-0.5, "rmbo-kp": lambda n: ((n + 1) / n**2) ** (1 / 3)}
+    for mid, root in closed.items():
+        found = resonant_wavenumbers(make_model(mid, gamma=1.0, beta=1.0), (0.2, 5.0))
+        assert [n for _, n in found] == list(range(8, 1, -1))
+        for k, n in found:
+            assert k == pytest.approx(root(n), rel=1e-12)
+
+
 def test_resonance_residuals_small():
     m = make_model("rmilw-kp", gamma=1.0, beta=1.0)
     for k, n in resonant_wavenumbers(m, (0.2, 5.0), n_max=5):

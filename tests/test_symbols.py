@@ -9,7 +9,6 @@ from transpec import (
     DomainError,
     ValidationError,
     classify_monotonicity,
-    eval_symbol,
     make_model,
     validate_hypotheses,
 )
@@ -20,32 +19,32 @@ BUILTIN_IDS = ["rmkp", "rmbo-kp", "rmg-kp", "rm-whitham-kp", "rmilw-kp", "reduce
 
 def test_kdv_direct_substitution():
     m = make_model("rmkp", gamma=1.0, beta=1.0)
-    assert eval_symbol(m, 2.0) == 4.0
+    assert m.j_eff(2.0) == 4.0
 
 
 def test_whitham_removable_singularity():
     m = make_model("rm-whitham-kp", gamma=1.0, beta=1.0)
-    assert eval_symbol(m, 0.0) == 1.0
+    assert m.j_eff(0.0) == 1.0
     # both branches near the switch point match the quartic series
     for x in (9.999e-5, 1.001e-4):
         series = 1.0 - x**2 / 6.0 + 19.0 * x**4 / 360.0
-        assert eval_symbol(m, x) == pytest.approx(series, abs=1e-14)
+        assert m.j_eff(x) == pytest.approx(series, abs=1e-14)
 
 
 def test_ilw_value_at_one():
     # independent oracle: cosh/sinh quotient
     expected = math.cosh(1.0) / math.sinh(1.0)
     m = make_model("rmilw-kp", gamma=1.0, beta=1.0)
-    assert eval_symbol(m, 1.0) == pytest.approx(expected, rel=1e-14)
-    assert eval_symbol(m, 0.0) == 1.0
+    assert m.j_eff(1.0) == pytest.approx(expected, rel=1e-14)
+    assert m.j_eff(0.0) == 1.0
 
 
 def test_nonfinite_kappa_rejected():
     m = make_model("rmkp")
     with pytest.raises(DomainError):
-        eval_symbol(m, float("nan"))
+        m.j_eff(float("nan"))
     with pytest.raises(DomainError):
-        eval_symbol(m, float("inf"))
+        m.j_eff(float("inf"))
 
 
 @pytest.mark.parametrize("mid", BUILTIN_IDS)
@@ -58,7 +57,7 @@ def test_evenness_machine_precision(mid):
 @given(kappa=st.floats(min_value=-50, max_value=50, allow_nan=False))
 def test_evenness_property(kappa):
     m = make_model("rm-whitham-kp")
-    assert eval_symbol(m, kappa) == eval_symbol(m, -kappa)
+    assert m.j_eff(kappa) == m.j_eff(-kappa)
 
 
 def test_monotonicity_classes():
