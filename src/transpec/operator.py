@@ -10,8 +10,6 @@ mean-zero restriction exactly.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -22,8 +20,6 @@ import scipy.sparse.linalg as spla
 from .errors import DomainError, NumericalError, ValidationError
 from .stokes import StokesWave, build_wave, profile_coefficients
 from .symbols import ModelSpec
-
-_ENV_THREADS = "TRANSPEC_THREADS"
 
 
 @dataclass(frozen=True)
@@ -45,7 +41,10 @@ class OperatorMatrix:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Eigenvalues of one truncated operator with the parameters that made it."""
+    """Eigenvalues of one truncated operator with the parameters that made it.
+
+    Eigenvalues only: no eigenvectors are computed, so no residual is reported.
+    """
 
     eigenvalues: np.ndarray
     rho: float
@@ -54,14 +53,12 @@ class SpectrumResult:
     k: float
     N: int
     max_real: float
-    residual_estimate: float
     error: Optional[str] = None
 
     def as_dict(self) -> dict:
         return {
             "rho": self.rho, "xi": self.xi, "eps": self.eps, "k": self.k,
             "N": self.N, "max_real": self.max_real,
-            "residual_estimate": self.residual_estimate,
             "error": self.error,
             "eigenvalues": [[float(ev.real), float(ev.imag)] for ev in self.eigenvalues],
         }
@@ -134,25 +131,16 @@ def _sorted_eigs(ev: np.ndarray) -> np.ndarray:
     return ev[order]
 
 
-def _residual_estimate(A: np.ndarray, ev: np.ndarray, vecs: np.ndarray,
-                       sample: int = 16) -> float:
-    idx = np.linspace(0, ev.size - 1, min(sample, ev.size)).astype(int)
-    worst = 0.0
-    for i in idx:
-        v = vecs[:, i]
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            continue
-        worst = max(worst, float(np.linalg.norm(A @ v - ev[i] * v) / nv))
-    return worst
-
-
 def eig_dense(op: OperatorMatrix) -> SpectrumResult:
-    """All eigenvalues of the truncated operator via a dense solver."""
+    """All eigenvalues of the truncated operator via a dense solver.
+
+    Eigenvectors are not computed; the eigenvalues come back sorted by
+    imaginary part, then real part.
+    """
     if op.dim > 4096:
         raise ValidationError("dense path is limited to dimension 4096")
     try:
-        ev, vecs = scipy.linalg.eig(op.matrix)
+        ev = scipy.linalg.eig(op.matrix, right=False)
     except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
         raise NumericalError(
             f"dense eigensolver failed at rho={op.rho}, xi={op.xi}, N={op.N}: {exc}"
@@ -161,11 +149,10 @@ def eig_dense(op: OperatorMatrix) -> SpectrumResult:
         raise NumericalError(
             f"dense eigensolver returned non-finite values at rho={op.rho}, xi={op.xi}"
         )
-    resid = _residual_estimate(op.matrix, ev, vecs)
     ev = _sorted_eigs(ev)
     return SpectrumResult(
         eigenvalues=ev, rho=op.rho, xi=op.xi, eps=op.wave.eps, k=op.wave.k,
-        N=op.N, max_real=float(np.max(ev.real)), residual_estimate=resid,
+        N=op.N, max_real=float(np.max(ev.real)),
     )
 
 
@@ -201,17 +188,16 @@ def shift_invert_eigs(model: ModelSpec, wave: StokesWave, rho: float, xi: float,
     # spectrum clusters when the shift is far from every eigenvalue)
     ncv = min(dim, max(4 * count + 5, 30))
     try:
-        ev, vecs = spla.eigs(A, k=count, sigma=shift, OPinv=opinv, which="LM",
-                             ncv=ncv, maxiter=200 * dim, tol=0)
+        ev = spla.eigs(A, k=count, sigma=shift, OPinv=opinv, which="LM",
+                       ncv=ncv, maxiter=200 * dim, tol=0, return_eigenvectors=False)
     except NumericalError:
         raise
     except Exception as exc:
         raise NumericalError(f"shift-invert Arnoldi iteration failed: {exc}") from exc
-    resid = _residual_estimate(A, ev, vecs)
     ev = _sorted_eigs(ev)
     return SpectrumResult(
         eigenvalues=ev, rho=op.rho, xi=op.xi, eps=wave.eps, k=wave.k, N=N,
-        max_real=float(np.max(ev.real)), residual_estimate=resid,
+        max_real=float(np.max(ev.real)),
     )
 
 
@@ -229,44 +215,29 @@ def max_growth_rate(model: ModelSpec, k: float, eps: float, rho: float, xi: floa
     return res.max_real if res.max_real >= _rounding_floor(res.eigenvalues) else 0.0
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(_ENV_THREADS, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def sweep(model: ModelSpec, k: float, eps: float, rho_grid: Sequence[float],
           xi_grid: Sequence[float], N: int = 64) -> List[SpectrumResult]:
     """Dense spectra over the (rho, xi) product grid, row-major in rho then xi.
 
-    Output order is deterministic regardless of execution order; failures at
-    individual grid points are recorded in the result's ``error`` field.
+    Points run serially; a failure at one grid point is recorded in that
+    result's ``error`` field.
     """
     rho_grid = [float(r) for r in rho_grid]
     xi_grid = [float(x) for x in xi_grid]
     if not rho_grid or not xi_grid:
         raise ValidationError("sweep grids must be non-empty")
     wave = build_wave(model, k, eps, check=False)
-    points = [(rho, xi) for rho in rho_grid for xi in xi_grid]
 
-    def run(point):
-        rho, xi = point
+    def run(rho, xi):
         try:
             return eig_dense(assemble_operator(model, wave, rho, xi, N))
         except Exception as exc:
             return SpectrumResult(
                 eigenvalues=np.empty(0, dtype=complex), rho=rho, xi=xi,
-                eps=eps, k=k, N=N, max_real=math.nan,
-                residual_estimate=math.nan, error=str(exc),
+                eps=eps, k=k, N=N, max_real=math.nan, error=str(exc),
             )
 
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, points))
-    return [run(pt) for pt in points]
+    return [run(rho, xi) for rho in rho_grid for xi in xi_grid]
 
 
 def detect_bubbles(results: Sequence[SpectrumResult], threshold: Optional[float] = None,

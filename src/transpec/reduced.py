@@ -275,31 +275,6 @@ def _exists_band_unstable(model: ModelSpec, k_grid: np.ndarray) -> Tuple[bool, O
     return False, None
 
 
-def _atlas_cell(model: ModelSpec, column: str, k_grid: np.ndarray) -> Verdict:
-    general = not _is_kdv_quadratic(model)
-    if column.startswith("lw_periodic"):
-        hit, k_wit = _exists_lw_unstable(model, k_grid)
-        thresholds = {"k_witness": k_wit} if hit else {}
-        tag = ("t5" if general else "t1") if hit else "t7"
-        return Verdict("unstable" if hit else "stable", tag, thresholds,
-                       [("exists k with negative long-wavelength margin", hit)])
-    if column == "lw_nonperiodic":
-        # no opposite-signature collisions reach rho = 0 away from xi = 0
-        return Verdict("stable", "lk1", {},
-                       [("no potentially unstable node at long wavelength", False)])
-    if column == "fsw_periodic":
-        # separated pairs have a positive separation discriminant
-        return Verdict("stable", "t8" if general else "t4", {},
-                       [("mode-pair separation discriminant stays positive", False)])
-    if column.startswith("fsw_nonperiodic"):
-        hit, k_wit = _exists_band_unstable(model, k_grid)
-        thresholds = {"k_witness": k_wit} if hit else {}
-        tag = ("t6" if general else "t2") if hit else "t7"
-        return Verdict("unstable" if hit else "stable", tag, thresholds,
-                       [("exists (k, xi) with positive band rho_c^2", hit)])
-    raise ValidationError(f"unknown atlas column {column!r}")
-
-
 def atlas(model_ids: Sequence[str] = ATLAS_MODELS, gamma: float = 1.0,
           fkdv_alpha: float = 1.5, k_grid: Optional[np.ndarray] = None,
           ) -> Dict[str, Dict[str, Verdict]]:
@@ -310,17 +285,32 @@ def atlas(model_ids: Sequence[str] = ATLAS_MODELS, gamma: float = 1.0,
     """
     if k_grid is None:
         k_grid = np.geomspace(1e-3, 1e3, 61)
+
+    def cell(scan, model, kdv_tag, general_tag, condition):
+        hit, k_wit = scan(model, k_grid)
+        tag = (kdv_tag if _is_kdv_quadratic(model) else general_tag) if hit else "t7"
+        return Verdict("unstable" if hit else "stable", tag,
+                       {"k_witness": k_wit} if hit else {}, [(condition, hit)])
+
+    lw = "exists k with negative long-wavelength margin"
+    band = "exists (k, xi) with positive band rho_c^2"
     table: Dict[str, Dict[str, Verdict]] = {}
     for mid in model_ids:
         alpha = fkdv_alpha if mid == "rm-fkdv-kp" else None
         pos = make_model(mid, gamma=gamma, beta=1.0, alpha=alpha)
         neg = make_model(mid, gamma=gamma, beta=-1.0, alpha=alpha)
         table[mid] = {
-            "lw_periodic_beta_pos": _atlas_cell(pos, "lw_periodic_beta_pos", k_grid),
-            "lw_periodic_beta_nonpos": _atlas_cell(neg, "lw_periodic_beta_nonpos", k_grid),
-            "lw_nonperiodic": _atlas_cell(pos, "lw_nonperiodic", k_grid),
-            "fsw_periodic": _atlas_cell(pos, "fsw_periodic", k_grid),
-            "fsw_nonperiodic_beta_pos": _atlas_cell(pos, "fsw_nonperiodic_beta_pos", k_grid),
-            "fsw_nonperiodic_beta_nonpos": _atlas_cell(neg, "fsw_nonperiodic_beta_nonpos", k_grid),
+            "lw_periodic_beta_pos": cell(_exists_lw_unstable, pos, "t1", "t5", lw),
+            "lw_periodic_beta_nonpos": cell(_exists_lw_unstable, neg, "t1", "t5", lw),
+            # no opposite-signature collisions reach rho = 0 away from xi = 0
+            "lw_nonperiodic": Verdict(
+                "stable", "lk1", {},
+                [("no potentially unstable node at long wavelength", False)]),
+            # separated pairs have a positive separation discriminant
+            "fsw_periodic": Verdict(
+                "stable", "t4" if _is_kdv_quadratic(pos) else "t8", {},
+                [("mode-pair separation discriminant stays positive", False)]),
+            "fsw_nonperiodic_beta_pos": cell(_exists_band_unstable, pos, "t2", "t6", band),
+            "fsw_nonperiodic_beta_nonpos": cell(_exists_band_unstable, neg, "t2", "t6", band),
         }
     return table

@@ -20,15 +20,6 @@ from .errors import DomainError, ValidationError
 # by their series limits (whitham and ilw).
 _SERIES_CUTOFF = 1e-4
 
-# Documented large-kappa growth exponents of the built-in symbols.
-_GROWTH_EXPONENTS = {
-    "kdv": 2.0,
-    "bo": 1.0,
-    "whitham": -0.5,
-    "ilw": 1.0,
-    "reduced": 0.0,
-}
-
 
 def _whitham_rule(x: np.ndarray) -> np.ndarray:
     # sqrt(tanh x / x) with the series 1 - x^2/6 near x = 0
@@ -48,6 +39,18 @@ def _ilw_rule(x: np.ndarray) -> np.ndarray:
     xs = x[~small]
     out[~small] = xs / np.tanh(xs)
     return out
+
+
+# Built-in symbols: id -> (rule on x = |kappa| given the symbol, documented
+# large-kappa exponent b with j ~ kappa^b; fkdv's exponent is its alpha).
+_RULES = {
+    "kdv": (lambda s, x: x * x, 2.0),
+    "bo": (lambda s, x: x.copy(), 1.0),
+    "fkdv": (lambda s, x: 1.0 + x**s.alpha, None),
+    "whitham": (lambda s, x: _whitham_rule(np.atleast_1d(x)), -0.5),
+    "ilw": (lambda s, x: _ilw_rule(np.atleast_1d(x)), 1.0),
+    "reduced": (lambda s, x: np.full_like(x, s.constant), 0.0),
+}
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,7 @@ class DispersionSymbol:
         elif self.id == "custom":
             if self.fn is None:
                 raise ValidationError("custom symbol needs a callable")
-        elif self.id not in ("kdv", "bo", "whitham", "ilw", "reduced"):
+        elif self.id not in _RULES:
             raise ValidationError(f"unknown dispersion symbol id {self.id!r}")
 
     def evaluate(self, kappa):
@@ -79,21 +82,10 @@ class DispersionSymbol:
         kappa = np.asarray(kappa, dtype=float)
         if not np.isfinite(kappa).all():
             raise DomainError("dispersion symbol evaluated at non-finite kappa")
-        x = np.abs(kappa)
-        if self.id == "kdv":
-            out = x * x
-        elif self.id == "bo":
-            out = x.copy()
-        elif self.id == "fkdv":
-            out = 1.0 + x**self.alpha
-        elif self.id == "whitham":
-            out = _whitham_rule(np.atleast_1d(x))
-        elif self.id == "ilw":
-            out = _ilw_rule(np.atleast_1d(x))
-        elif self.id == "reduced":
-            out = np.full_like(x, self.constant)
-        else:
+        if self.id == "custom":
             out = np.asarray(self.fn(kappa), dtype=float)
+        else:
+            out = _RULES[self.id][0](self, np.abs(kappa))
         out = out.reshape(kappa.shape)
         return out if out.ndim else float(out)
 
@@ -102,7 +94,7 @@ class DispersionSymbol:
         """Documented large-kappa exponent b with j ~ kappa^b, when known."""
         if self.id == "fkdv":
             return self.alpha
-        return _GROWTH_EXPONENTS.get(self.id)
+        return _RULES[self.id][1] if self.id in _RULES else None
 
 
 def kdv() -> DispersionSymbol:
@@ -195,16 +187,19 @@ def _sign_changes(grid, values, refine) -> list:
 
 # --- named model registry -------------------------------------------------
 
-MODEL_IDS = (
-    "rmkp",
-    "rmbo-kp",
-    "rm-fkdv-kp",
-    "rmg-kp",
-    "rm-mkdv-kp",
-    "rm-whitham-kp",
-    "rmilw-kp",
-    "reduced-rmkp",
-)
+# id -> (symbol, alpha1, alpha2); rm-fkdv-kp's symbol fkdv(alpha) is built per call.
+_MODELS = {
+    "rmkp": (kdv(), 1, 0),
+    "rmbo-kp": (bo(), 1, 0),
+    "rm-fkdv-kp": (None, 1, 0),
+    "rmg-kp": (fkdv(2.0), 1, -1),
+    "rm-mkdv-kp": (fkdv(2.0), 0, -1),
+    "rm-whitham-kp": (whitham(), 1, 0),
+    "rmilw-kp": (ilw(), 1, 0),
+    "reduced-rmkp": (reduced(1.0), 1, 0),
+}
+
+MODEL_IDS = tuple(_MODELS)
 
 
 def make_model(model_id: str, gamma: float = 1.0, beta: float = 1.0,
@@ -214,25 +209,14 @@ def make_model(model_id: str, gamma: float = 1.0, beta: float = 1.0,
     ``alpha`` is consumed only by ``rm-fkdv-kp``.  ``reduced-rmkp`` carries a
     constant symbol, so its dynamics do not depend on ``beta``.
     """
-    if model_id == "rmkp":
-        return ModelSpec(kdv(), beta, 1, 0, gamma, name=model_id)
-    if model_id == "rmbo-kp":
-        return ModelSpec(bo(), beta, 1, 0, gamma, name=model_id)
-    if model_id == "rm-fkdv-kp":
+    if model_id not in _MODELS:
+        raise ValidationError(f"unknown model id {model_id!r}; known: {', '.join(MODEL_IDS)}")
+    symbol, alpha1, alpha2 = _MODELS[model_id]
+    if symbol is None:
         if alpha is None:
             raise ValidationError("rm-fkdv-kp needs an exponent alpha > 1/2")
-        return ModelSpec(fkdv(alpha), beta, 1, 0, gamma, name=model_id)
-    if model_id == "rmg-kp":
-        return ModelSpec(fkdv(2.0), beta, 1, -1, gamma, name=model_id)
-    if model_id == "rm-mkdv-kp":
-        return ModelSpec(fkdv(2.0), beta, 0, -1, gamma, name=model_id)
-    if model_id == "rm-whitham-kp":
-        return ModelSpec(whitham(), beta, 1, 0, gamma, name=model_id)
-    if model_id == "rmilw-kp":
-        return ModelSpec(ilw(), beta, 1, 0, gamma, name=model_id)
-    if model_id == "reduced-rmkp":
-        return ModelSpec(reduced(1.0), beta, 1, 0, gamma, name=model_id)
-    raise ValidationError(f"unknown model id {model_id!r}; known: {', '.join(MODEL_IDS)}")
+        symbol = fkdv(alpha)
+    return ModelSpec(symbol, beta, alpha1, alpha2, gamma, name=model_id)
 
 
 # --- hypothesis checks ----------------------------------------------------

@@ -79,6 +79,7 @@ def test_spectrum_outputs(tmp_path, capsys):
                            "--N", "32", "--csv", str(csv), "--svg", str(svg))
     assert code == 0
     record = json.loads(out)
+    assert set(record) == {"rho", "xi", "eps", "k", "N", "max_real", "error", "eigenvalues"}
     assert record["max_real"] == pytest.approx(0.02, rel=0.2)
     body = csv.read_text().splitlines()
     assert body[0] == "re,im"
@@ -182,8 +183,7 @@ def test_seventeen_digit_floats():
     assert dumps([1.0 / 3.0], compact=True) == "[0.33333333333333331]"
 
 
-def test_env_thread_cap(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("TRANSPEC_THREADS", "2")
+def test_sweep_manifest_order(tmp_path, capsys):
     out_dir = tmp_path / "sw"
     code, _, _ = run_cli(capsys, "sweep", "--model", "rmkp", "--k", "1",
                          "--eps", "0.01", "--rho-grid", "0.2,0.4",

@@ -107,7 +107,6 @@ def test_dense_solver_on_diagonal_case():
     res = eig_dense(op)
     expected = _sorted(np.diag(op.matrix).copy())
     assert np.max(np.abs(_sorted(res.eigenvalues) - expected)) < 1e-12 * np.max(np.abs(expected))
-    assert res.residual_estimate < 1e-8 * np.max(np.abs(op.matrix))
 
 
 def test_symmetry_closures_random_parameters():
@@ -283,14 +282,6 @@ def test_sweep_records_bad_points():
     assert res[0].error is None
     assert res[1].error is not None
     assert math.isnan(res[1].max_real)
-
-
-def test_threaded_sweep_order(monkeypatch):
-    monkeypatch.setenv("TRANSPEC_THREADS", "4")
-    m = make_model("rmkp", gamma=1.0, beta=1.0)
-    grid = sweep(m, 2.0, 0.01, [0.4, 0.8, 1.2], [0.1, 0.3], N=16)
-    assert [(r.rho, r.xi) for r in grid] == [(0.4, 0.1), (0.4, 0.3), (0.8, 0.1),
-                                             (0.8, 0.3), (1.2, 0.1), (1.2, 0.3)]
 
 
 def _band_collision_point(m, xi):
