@@ -77,7 +77,7 @@ def collision_rho_squared(model: ModelSpec, n: int, m: int, xi, k):
     xi = np.asarray(xi, dtype=float)
     kk = np.asarray(k, dtype=float)
     if kk.ndim > xi.ndim:  # the stacked pair [p, q] below must broadcast against k
-        xi = np.broadcast_to(xi, kk.shape)
+        xi = np.broadcast_to(xi, np.broadcast_shapes(xi.shape, kk.shape))
     p, q = n + xi, m + xi
     if not (p.all() and q.all()):
         raise DomainError("collision undefined when a composite index vanishes")

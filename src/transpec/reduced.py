@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .collisions import collision_rho_squared, omega
 from .errors import DomainError, ValidationError
@@ -22,6 +23,11 @@ from .stokes import _eta2, check_resonance
 from .symbols import ModelSpec, _sign_changes, make_model
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+#: Floquet exponents of the band-peak scan.  Its two-cell polish bracket is
+#: (0, 1/2] shrunk by six golden steps (2/36 ~ 0.618^6), so the polish ends at
+#: the resolution of one golden search over the whole interval.
+_XI_SCAN = np.linspace(1e-4, 0.5, 37)
 
 #: Column keys of the stability atlas, in presentation order.
 ATLAS_COLUMNS = (
@@ -81,21 +87,24 @@ def _is_kdv_quadratic(model: ModelSpec) -> bool:
     return model.symbol.id == "kdv" and model.alpha1 == 1 and model.alpha2 == 0
 
 
-def golden_max(f, lo: float, hi: float, tol: float = 1e-8) -> Tuple[float, float]:
-    """Golden-section maximizer of a unimodal function on [lo, hi]."""
+def golden_max(f, lo, hi, tol: float = 1e-8):
+    """Golden-section maximizer of a unimodal function on [lo, hi].
+
+    ``lo`` and ``hi`` may be arrays of brackets of one width; ``f`` then takes
+    an array of points and every bracket is narrowed in the same steps.
+    """
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
+    while np.max(b - a) > tol:
+        left = fc > fd  # the peak lies in [a, d], whose upper inner point is c
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
+        new = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        f_new = f(new)
+        c, fc = np.where(left, new, kept), np.where(left, f_new, f_kept)
+        d, fd = np.where(left, kept, new), np.where(left, f_kept, f_new)
     x = 0.5 * (a + b)
     return x, f(x)
 
@@ -201,17 +210,27 @@ def theta1_band(model: ModelSpec, k: float, eps: float, xi: float) -> Theta1Band
                       growth_peak=float(growth))
 
 
-def _max_band_rho_sq(model: ModelSpec, k: float) -> Tuple[float, float]:
-    """Maximize rho_c^2 over xi in (0, 1/2]; returns (xi_star, value)."""
+def _max_band_rho_sq(model: ModelSpec, k):
+    """Maximize rho_c^2 over xi in (0, 1/2] at each k; returns (xi_star, value).
+
+    The best point of a scan over ``_XI_SCAN`` picks the peak, so several
+    local maxima in xi do not mislead it; a golden-section polish on the two
+    scan cells around that point finishes.  Broadcasts over an array of k.
+    """
+    k = np.asarray(k, dtype=float)
+    scan = collision_rho_squared(model, -1, 0, _XI_SCAN, k[..., None])
+    best = np.clip(np.argmax(scan, axis=-1), 1, _XI_SCAN.size - 2)
     return golden_max(lambda xi: collision_rho_squared(model, -1, 0, xi, k),
-                      1e-4, 0.5, tol=1e-8)
+                      _XI_SCAN[best - 1], _XI_SCAN[best + 1], tol=1e-8)
 
 
 def theta1_verdict(model: ModelSpec, k: float, k_range=(1e-3, 1e3)) -> Verdict:
     """Verdict for non-periodic perturbations with finite transverse wavelength."""
     if not k > 0:
         raise DomainError("wavenumber must be positive")
-    xi_star, best = _max_band_rho_sq(model, k)
+    grid = np.geomspace(k_range[0], k_range[1], 161)
+    xis, peaks = _max_band_rho_sq(model, np.append(grid, k))
+    xi_star, best = xis[-1], peaks[-1]
     unstable = best > 0
     thresholds: Dict[str, float] = {"xi_star": float(xi_star),
                                     "rho_c_sq_max": float(best)}
@@ -221,8 +240,9 @@ def theta1_verdict(model: ModelSpec, k: float, k_range=(1e-3, 1e3)) -> Verdict:
     def band_peak(kk):
         return _max_band_rho_sq(model, kk)[1]
 
-    grid = np.geomspace(k_range[0], k_range[1], 161)
-    flips = _flips(band_peak, grid, [_sign_at(band_peak, kk) for kk in grid])
+    # the (-1, 0) pair has no poles, so the band peak is continuous in k
+    flips = _sign_changes(grid, peaks[:-1],
+                          lambda a, b: brentq(band_peak, a, b, xtol=1e-12))
     for i, kf in enumerate(flips):
         thresholds["k_t1b" if i == 0 else f"k_t1b_{i + 1}"] = float(kf)
     kdv_family = _is_kdv_quadratic(model)
@@ -259,22 +279,6 @@ def classify(model: ModelSpec, k: float) -> Verdict:
 
 # --- existence-over-k atlas ---------------------------------------------------
 
-def _exists_lw_unstable(model: ModelSpec, k_grid: np.ndarray) -> Tuple[bool, Optional[float]]:
-    negative = np.nonzero(_lw_margin_raw(model, k_grid) < 0)[0]
-    return (True, float(k_grid[negative[0]])) if negative.size else (False, None)
-
-
-def _exists_band_unstable(model: ModelSpec, k_grid: np.ndarray) -> Tuple[bool, Optional[float]]:
-    for k in k_grid:
-        try:
-            _, best = _max_band_rho_sq(model, k)
-        except ValidationError:
-            continue
-        if best > 0:
-            return True, float(k)
-    return False, None
-
-
 def atlas(model_ids: Sequence[str] = ATLAS_MODELS, gamma: float = 1.0,
           fkdv_alpha: float = 1.5, k_grid: Optional[np.ndarray] = None,
           ) -> Dict[str, Dict[str, Verdict]]:
@@ -286,11 +290,17 @@ def atlas(model_ids: Sequence[str] = ATLAS_MODELS, gamma: float = 1.0,
     if k_grid is None:
         k_grid = np.geomspace(1e-3, 1e3, 61)
 
-    def cell(scan, model, kdv_tag, general_tag, condition):
-        hit, k_wit = scan(model, k_grid)
+    def cell(unstable_at, model, kdv_tag, general_tag, condition):
+        # unstable_at: one flag per k_grid point; the first unstable k is the witness
+        witnesses = np.nonzero(unstable_at)[0]
+        hit = bool(witnesses.size)
         tag = (kdv_tag if _is_kdv_quadratic(model) else general_tag) if hit else "t7"
         return Verdict("unstable" if hit else "stable", tag,
-                       {"k_witness": k_wit} if hit else {}, [(condition, hit)])
+                       {"k_witness": float(k_grid[witnesses[0]])} if hit else {},
+                       [(condition, hit)])
+
+    def band_unstable(model):
+        return _max_band_rho_sq(model, k_grid)[1] > 0
 
     lw = "exists k with negative long-wavelength margin"
     band = "exists (k, xi) with positive band rho_c^2"
@@ -300,8 +310,8 @@ def atlas(model_ids: Sequence[str] = ATLAS_MODELS, gamma: float = 1.0,
         pos = make_model(mid, gamma=gamma, beta=1.0, alpha=alpha)
         neg = make_model(mid, gamma=gamma, beta=-1.0, alpha=alpha)
         table[mid] = {
-            "lw_periodic_beta_pos": cell(_exists_lw_unstable, pos, "t1", "t5", lw),
-            "lw_periodic_beta_nonpos": cell(_exists_lw_unstable, neg, "t1", "t5", lw),
+            "lw_periodic_beta_pos": cell(_lw_margin_raw(pos, k_grid) < 0, pos, "t1", "t5", lw),
+            "lw_periodic_beta_nonpos": cell(_lw_margin_raw(neg, k_grid) < 0, neg, "t1", "t5", lw),
             # no opposite-signature collisions reach rho = 0 away from xi = 0
             "lw_nonperiodic": Verdict(
                 "stable", "lk1", {},
@@ -310,7 +320,7 @@ def atlas(model_ids: Sequence[str] = ATLAS_MODELS, gamma: float = 1.0,
             "fsw_periodic": Verdict(
                 "stable", "t4" if _is_kdv_quadratic(pos) else "t8", {},
                 [("mode-pair separation discriminant stays positive", False)]),
-            "fsw_nonperiodic_beta_pos": cell(_exists_band_unstable, pos, "t2", "t6", band),
-            "fsw_nonperiodic_beta_nonpos": cell(_exists_band_unstable, neg, "t2", "t6", band),
+            "fsw_nonperiodic_beta_pos": cell(band_unstable(pos), pos, "t2", "t6", band),
+            "fsw_nonperiodic_beta_nonpos": cell(band_unstable(neg), neg, "t2", "t6", band),
         }
     return table

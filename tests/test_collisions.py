@@ -156,6 +156,20 @@ def test_collision_rho_squared_broadcasts_over_xi_and_k(mid):
             assert abs(val - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
+@pytest.mark.parametrize("mid", MODELS)
+def test_collision_rho_squared_broadcasts_to_a_k_by_xi_grid(mid):
+    m = make_model(mid, gamma=1.3, beta=-1.0 if mid == "rm-whitham-kp" else 1.0)
+    xis = np.linspace(0.01, 0.5, 13)
+    ks = np.geomspace(0.05, 20.0, 11)
+    for n, mm in [(-1, 0), (-2, 1)]:
+        grid = collision_rho_squared(m, n, mm, xis, ks[:, None])
+        assert grid.shape == (ks.size, xis.size)
+        for k, row in zip(ks, grid):
+            for xi, val in zip(xis, row):
+                ref = collision_rho_squared(m, n, mm, float(xi), float(k))
+                assert abs(val - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
 def test_collision_rho_squared_array_rejects_any_vanishing_index():
     m = make_model("rmkp", gamma=1.0, beta=1.0)
     with pytest.raises(DomainError):

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from transpec import (
     ATLAS_COLUMNS,
+    ModelSpec,
     ResonanceError,
     atlas,
     classify,
@@ -13,7 +15,9 @@ from transpec import (
     theta1_band,
     theta1_verdict,
 )
-from transpec.reduced import _lw_margin_raw, golden_max
+from transpec.collisions import collision_rho_squared
+from transpec.reduced import _GOLDEN, _lw_margin_raw, _max_band_rho_sq, golden_max
+from transpec.symbols import MODEL_IDS, custom
 
 
 # --- long-wavelength channel -------------------------------------------------
@@ -208,6 +212,69 @@ def test_golden_max_finds_quadratic_peak():
     x, val = golden_max(lambda t: -(t - 0.3) ** 2, 1e-4, 0.5)
     assert x == pytest.approx(0.3, abs=1e-6)
     assert val == pytest.approx(0.0, abs=1e-10)
+
+
+def _golden_loop(f, lo, hi, tol=1e-8):
+    """Scalar golden-section search, the reference for golden_max."""
+    a, b = lo, hi
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
+PEAKS = [lambda t: -(t - 0.3) ** 2, lambda t: np.sin(9.0 * t), lambda t: t * np.exp(-4.0 * t)]
+
+
+def test_golden_max_scalar_call_equals_the_loop():
+    for f in PEAKS:
+        for lo, hi in [(1e-4, 0.5), (0.1, 0.2), (0.4, 0.5)]:
+            assert golden_max(f, lo, hi) == _golden_loop(f, lo, hi)
+
+
+def test_golden_max_array_brackets_match_scalar_calls():
+    lo = np.linspace(0.0, 0.45, 10)
+    hi = lo + 0.05
+    for f in PEAKS:
+        xs, vals = golden_max(f, lo, hi)
+        assert xs.shape == vals.shape == lo.shape
+        for x, v, a, b in zip(xs, vals, lo, hi):
+            x_ref, _ = golden_max(f, float(a), float(b))
+            assert abs(x - x_ref) <= 1e-8
+            assert v == pytest.approx(f(x), rel=1e-14, abs=1e-15)
+
+
+@pytest.mark.parametrize("mid", MODEL_IDS)
+def test_band_peak_over_a_k_array_matches_scalar_calls(mid):
+    m = make_model(mid, gamma=1.0, beta=-1.0 if mid == "rm-whitham-kp" else 1.0,
+                   alpha=1.5 if mid == "rm-fkdv-kp" else None)
+    ks = np.geomspace(1e-2, 50.0, 23)
+    xis, peaks = _max_band_rho_sq(m, ks)
+    for k, xi, v in zip(ks, xis, peaks):
+        xi_ref, v_ref = _max_band_rho_sq(m, float(k))
+        assert abs(v - v_ref) <= 1e-12 * max(1.0, abs(v_ref))
+        assert xi == pytest.approx(xi_ref, abs=1e-8)
+
+
+def test_band_peak_finds_the_higher_of_two_peaks():
+    # two peaks in xi: the higher one, at xi = 1/2, makes the band unstable
+    m = ModelSpec(custom(lambda x: x * x + 3.9 * np.cos(13.7 * x)), 1.0, 1, 0, 2.6)
+    v = theta1_verdict(m, 1.3)
+    xs = np.linspace(0.0, 0.5, 100_001)[1:]
+    dense = float(np.max(collision_rho_squared(m, -1, 0, xs, 1.3)))
+    assert dense > 0.85
+    assert v.outcome == "unstable"
+    assert abs(v.thresholds["rho_c_sq_max"] - dense) <= 1e-9
 
 
 # --- merged verdict and atlas ----------------------------------------------------
