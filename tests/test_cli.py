@@ -155,10 +155,16 @@ def test_unwritable_path_exits_2(capsys):
 
 
 def test_numerical_failure_exits_1(capsys):
-    # a shift sitting exactly on an eigenvalue stalls the inner solver
-    from transpec import make_model, omega
+    # at eps = 0 the operator is diagonal; a shift equal to the mode-1
+    # diagonal entry makes the sparse LU factorisation exactly singular
+    import numpy as np
 
-    w1 = omega(make_model("rmkp"), 1, 0.5, 0.1, 1.0)
+    from transpec import assemble_operator, build_wave, make_model
+
+    model = make_model("rmkp")
+    op = assemble_operator(model, build_wave(model, 1.0, 0.0), 0.5, 0.1, 12)
+    i = int(np.flatnonzero(op.modes == 1)[0])
+    w1 = op.matrix[i, i].imag
     code, _, err = run_cli(capsys, "spectrum", "--model", "rmkp", "--k", "1",
                            "--eps", "0", "--rho", "0.5", "--xi", "0.1",
                            "--N", "12", "--shift", f"0,{w1}", "--count", "1")

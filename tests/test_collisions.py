@@ -193,6 +193,8 @@ def _bisect_collision(m, n, mm, xi, k, hi=400.0):
         return None
     for _ in range(200):
         mid = 0.5 * (a + b)
+        if not a < mid < b:  # fixed point: the bracket cannot shrink further
+            break
         if (gap(mid) < 0) == (ga < 0):
             a = mid
         else:
