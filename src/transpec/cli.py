@@ -202,20 +202,21 @@ def _cmd_wave(args) -> int:
     return 0
 
 
+def _text_table(rows) -> str:
+    """Left-aligned columns two spaces apart, one line per row, header row first."""
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+    return "".join("  ".join(v.ljust(w) for v, w in zip(r, widths)) + "\n" for r in rows)
+
+
 def _collide_table(model, theta_max: int) -> str:
-    cols = ("theta", "periodic", "nonperiodic")
-    rows = []
+    rows = [["theta", "periodic", "nonperiodic"]]
     for theta in range(1, theta_max + 1):
-        cells = {"theta": str(theta)}
+        row = [str(theta)]
         for pert in ("periodic", "nonperiodic"):
             recs = collisions.enumerate_potentially_unstable(model, theta, pert)
-            cells[pert] = " ".join(f"{{{r.n},{r.m}}}" for r in recs) or "none"
-        rows.append(cells)
-    widths = {c: max(len(c), *(len(r[c]) for r in rows)) for c in cols}
-    lines = ["  ".join(c.ljust(widths[c]) for c in cols)]
-    for r in rows:
-        lines.append("  ".join(r[c].ljust(widths[c]) for c in cols))
-    return "\n".join(lines) + "\n"
+            row.append(" ".join(f"{{{r.n},{r.m}}}" for r in recs) or "none")
+        rows.append(row)
+    return _text_table(rows)
 
 
 def _cmd_collide(args) -> int:
@@ -300,16 +301,11 @@ def _cmd_atlas(args) -> int:
     cfg = _merged(args)
     table = reduced.atlas(gamma=float(cfg["gamma"]),
                           fkdv_alpha=float(args.fkdv_alpha))
-    headers = ["model"] + list(reduced.ATLAS_COLUMNS)
-    rows = []
+    rows = [["model", *reduced.ATLAS_COLUMNS]]
     for mid, cells in table.items():
         rows.append([mid] + ["Unstable" if cells[c].outcome == "unstable" else "Stable"
                              for c in reduced.ATLAS_COLUMNS])
-    widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(headers)]
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers))]
-    for r in rows:
-        lines.append("  ".join(v.ljust(widths[i]) for i, v in enumerate(r)))
-    sys.stdout.write("\n".join(lines) + "\n")
+    sys.stdout.write(_text_table(rows))
     if args.json:
         record = {mid: {c: cells[c].as_dict() for c in reduced.ATLAS_COLUMNS}
                   for mid, cells in table.items()}

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, ValidationError
 from .symbols import ModelSpec, _omega_at_zero_rho, _sign_changes
@@ -103,15 +102,14 @@ def _positive_windows(f, grid: np.ndarray, vals: np.ndarray, lo_open: float,
                       hi_open: float) -> List[Tuple[float, float]]:
     """Maximal intervals where ``vals = f(grid) > 0``, edges refined on ``f``.
 
-    Zero values count as non-positive (``brentq`` returns a cell end where f
-    vanishes).  Intervals still positive at a scan edge are extended to
+    Zero values count as non-positive, and a cell end where f vanishes is
+    itself the edge.  Intervals still positive at a scan edge are extended to
     ``lo_open`` or ``hi_open`` (typically 0 and inf) since the scan cannot
     bound them.
     """
     pos = vals > 0.0
-    edges = _sign_changes(grid, np.where(pos, 1.0, -1.0),
-                          lambda a, b: brentq(f, a, b, xtol=1e-12))
-    bounds = [lo_open] * bool(pos[0]) + edges + [hi_open] * bool(pos[-1])
+    edges = _sign_changes(f, grid, vals, 1e-12, signs=np.where(pos, 1.0, -1.0))
+    bounds = [lo_open] * bool(pos[0]) + list(edges) + [hi_open] * bool(pos[-1])
     return [(float(a), float(b)) for a, b in zip(bounds[::2], bounds[1::2])]
 
 
@@ -119,11 +117,11 @@ def collision_wavenumber_window(model: ModelSpec, n: int, theta: int, xi: float 
                                 k_range=(1e-3, 1e3), brackets: int = 512):
     """k-intervals on which the (n, n+theta) collision exists at this xi.
 
-    Scans ``brackets`` log-spaced cells over ``k_range`` and bisects each sign
-    change of rho^2(k) to locate boundaries.  Windows still open at the scan
-    edges are reported as (0, .) or (., inf).  If rho^2 vanishes identically
-    (the mirror pair), the collision exists at rho = 0 for every k and the
-    full half line is returned.
+    Scans ``brackets`` log-spaced cells over ``k_range`` and refines every
+    sign change of rho^2(k) at once to locate boundaries.  Windows still open
+    at the scan edges are reported as (0, .) or (., inf).  If rho^2 vanishes
+    identically (the mirror pair), the collision exists at rho = 0 for every k
+    and the full half line is returned.
     """
     if theta < 1:
         raise ValidationError("theta must be a positive integer")

@@ -14,9 +14,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg as spla
 
 from .errors import DomainError, NumericalError, ValidationError
 from .stokes import StokesWave, build_wave, profile_coefficients
@@ -140,7 +137,7 @@ def eig_dense(op: OperatorMatrix) -> SpectrumResult:
     if op.dim > 4096:
         raise ValidationError("dense path is limited to dimension 4096")
     try:
-        ev = scipy.linalg.eig(op.matrix, right=False)
+        ev = np.linalg.eigvals(op.matrix)
     except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
         raise NumericalError(
             f"dense eigensolver failed at rho={op.rho}, xi={op.xi}, N={op.N}: {exc}"
@@ -161,8 +158,12 @@ def shift_invert_eigs(model: ModelSpec, wave: StokesWave, rho: float, xi: float,
     """The ``count`` eigenvalues nearest ``shift``.
 
     ARPACK's shift-invert mode: an Arnoldi process on ``(A - shift I)^{-1}``
-    with one sparse LU factorisation per call.
+    with one sparse LU factorisation per call.  scipy is imported here only,
+    so the analytic layers and the dense path run on numpy alone.
     """
+    import scipy.sparse
+    import scipy.sparse.linalg as spla
+
     if count > 20:
         raise ValidationError("count is limited to 20")
     op = assemble_operator(model, wave, rho, xi, N)

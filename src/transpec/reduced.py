@@ -15,11 +15,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .collisions import collision_rho_squared, omega
-from .errors import DomainError, ValidationError
-from .stokes import _eta2, check_resonance
+from .errors import DomainError
+from .stokes import _eta2, _resonance_mismatch, check_resonance
 from .symbols import ModelSpec, _sign_changes, make_model
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -87,6 +86,21 @@ def _is_kdv_quadratic(model: ModelSpec) -> bool:
     return model.symbol.id == "kdv" and model.alpha1 == 1 and model.alpha2 == 0
 
 
+def _channel_verdict(model: ModelSpec, unstable, thresholds: Dict[str, float], key: str,
+                     onsets, tags: Tuple[str, str], condition: str) -> Verdict:
+    """One channel's verdict, with ``onsets`` as thresholds ``key``, ``key_2``, ...
+
+    ``tags`` name the (kdv family, general) analysis that applies when the
+    channel is unstable here or has an onset; otherwise it is t3 or t7.
+    """
+    for i, kf in enumerate(onsets):
+        thresholds[key if i == 0 else f"{key}_{i + 1}"] = float(kf)
+    kdv_family = _is_kdv_quadratic(model)
+    tag = tags[not kdv_family] if unstable or onsets.size else ("t3" if kdv_family else "t7")
+    return Verdict("unstable" if unstable else "stable", tag, thresholds,
+                   [(condition, bool(unstable))])
+
+
 def golden_max(f, lo, hi, tol: float = 1e-8):
     """Golden-section maximizer of a unimodal function on [lo, hi].
 
@@ -107,34 +121,6 @@ def golden_max(f, lo, hi, tol: float = 1e-8):
         d, fd = np.where(left, kept, new), np.where(left, f_kept, f_new)
     x = 0.5 * (a + b)
     return x, f(x)
-
-
-def _sign_at(f, x) -> float:
-    """Sign of f(x); 0 where f rejects x or is not finite there."""
-    try:
-        v = f(x)
-    except ValidationError:
-        return 0.0
-    return float(np.sign(v)) if np.isfinite(v) else 0.0
-
-
-def _flips(f, grid: np.ndarray, values, xtol: float = 1e-12) -> List[float]:
-    """Points where sign(f) flips between grid neighbours, by bisection on the sign.
-
-    Bisection on the sign converges on both roots and poles of f, which is
-    what a verdict boundary can be.
-    """
-    def bisect(a, b):
-        s0 = _sign_at(f, a)
-        while b - a > xtol:
-            mid = 0.5 * (a + b)
-            if _sign_at(f, mid) == s0:
-                a = mid
-            else:
-                b = mid
-        return 0.5 * (a + b)
-
-    return _sign_changes(grid, values, bisect)
 
 
 # --- long-wavelength channel ------------------------------------------------
@@ -169,21 +155,14 @@ def long_wavelength_verdict(model: ModelSpec, k: float,
     margin = lw_margin(model, k)
     unstable = margin < 0
     grid = np.geomspace(k_range[0], k_range[1], 513)
-    flips = _flips(lambda kk: _lw_margin_raw(model, kk), grid, _lw_margin_raw(model, grid))
-    thresholds: Dict[str, float] = {"lw_margin": float(margin)}
-    for i, kf in enumerate(flips):
-        thresholds["k_lw" if i == 0 else f"k_lw_{i + 1}"] = float(kf)
-    kdv_family = _is_kdv_quadratic(model)
-    if unstable or flips:
-        tag = "t1" if kdv_family else "t5"
-    else:
-        tag = "t3" if kdv_family else "t7"
-    return Verdict(
-        outcome="unstable" if unstable else "stable",
-        theorem=tag,
-        thresholds=thresholds,
-        conditions=[("(3/2) alpha2 + 2 alpha1 eta2 < 0", bool(unstable))],
-    )
+    def cleared(kk):
+        # the margin times mismatch_2^2: its sign, with its poles made simple roots
+        m = _resonance_mismatch(model, kk, 2)
+        return m * (1.5 * model.alpha2 * m - model.alpha1**2 * kk**2)
+
+    flips = _sign_changes(cleared, grid, cleared(grid), 1e-12)
+    return _channel_verdict(model, unstable, {"lw_margin": float(margin)}, "k_lw", flips,
+                            ("t1", "t5"), "(3/2) alpha2 + 2 alpha1 eta2 < 0")
 
 
 # --- adjacent-pair band channel ----------------------------------------------
@@ -232,30 +211,15 @@ def theta1_verdict(model: ModelSpec, k: float, k_range=(1e-3, 1e3)) -> Verdict:
     xis, peaks = _max_band_rho_sq(model, np.append(grid, k))
     xi_star, best = xis[-1], peaks[-1]
     unstable = best > 0
-    thresholds: Dict[str, float] = {"xi_star": float(xi_star),
-                                    "rho_c_sq_max": float(best)}
+    thresholds: Dict[str, float] = {"xi_star": float(xi_star), "rho_c_sq_max": float(best)}
     if unstable:
         thresholds["rho_c"] = math.sqrt(best)
 
-    def band_peak(kk):
-        return _max_band_rho_sq(model, kk)[1]
-
-    # the (-1, 0) pair has no poles, so the band peak is continuous in k
-    flips = _sign_changes(grid, peaks[:-1],
-                          lambda a, b: brentq(band_peak, a, b, xtol=1e-12))
-    for i, kf in enumerate(flips):
-        thresholds["k_t1b" if i == 0 else f"k_t1b_{i + 1}"] = float(kf)
-    kdv_family = _is_kdv_quadratic(model)
-    if unstable or flips:
-        tag = "t2" if kdv_family else "t6"
-    else:
-        tag = "t3" if kdv_family else "t7"
-    return Verdict(
-        outcome="unstable" if unstable else "stable",
-        theorem=tag,
-        thresholds=thresholds,
-        conditions=[("rho_c^2(xi) > 0 for some xi in (0, 1/2]", bool(unstable))],
-    )
+    # the (-1, 0) pair has no poles, so the band peak is continuous in k;
+    # every onset advances in the same array call
+    flips = _sign_changes(lambda kk: _max_band_rho_sq(model, kk)[1], grid, peaks[:-1], 1e-12)
+    return _channel_verdict(model, unstable, thresholds, "k_t1b", flips, ("t2", "t6"),
+                            "rho_c^2(xi) > 0 for some xi in (0, 1/2]")
 
 
 def classify(model: ModelSpec, k: float) -> Verdict:

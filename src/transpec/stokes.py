@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import AmplitudeValidityWarning, DomainError, ResonanceError, ValidationError
 from .symbols import ModelSpec, _omega_at_zero_rho, _sign_changes
@@ -84,9 +83,7 @@ def resonant_wavenumbers(model: ModelSpec, k_range=(1e-3, 1e3), n_max: int = 8,
     ns = range(2, n_max + 1)
     found = []
     for n, vals in zip(ns, _resonance_mismatch(model, grid, np.array(ns)[:, None])):
-        def mismatch(k, n=n):
-            return _resonance_mismatch(model, k, n)
-        roots = _sign_changes(grid, vals, lambda a, b: brentq(mismatch, a, b, xtol=1e-14))
+        roots = _sign_changes(lambda k, n=n: _resonance_mismatch(model, k, n), grid, vals, 1e-14)
         found += [(float(k), n) for k in [*roots, *grid[vals == 0.0]]]
     return sorted(set(found))
 
@@ -99,15 +96,14 @@ def check_resonance(model: ModelSpec, k: float, tol: float = RESONANCE_TOL,
     lo = max(k - tol, 1e-30)
     hi = k + tol
     ns = np.arange(2, n_max + 1)
-    f_lo = _resonance_mismatch(model, lo, ns)
-    f_hi = _resonance_mismatch(model, hi, ns)
+    f_lo, f_hi = _resonance_mismatch(model, np.array([[lo], [hi]]), ns)
     hit = (f_lo == 0.0) | (f_hi == 0.0) | ((f_lo < 0) != (f_hi < 0))
     if hit.any():
         i = int(np.argmax(hit))
         n = int(ns[i])
-        root = brentq(lambda kk: _resonance_mismatch(model, kk, n), lo, hi,
-                      xtol=1e-14) if f_lo[i] * f_hi[i] < 0 else k
-        raise ResonanceError(k, n, float(root))
+        root = _sign_changes(lambda kk: _resonance_mismatch(model, kk, n), [lo, hi],
+                             [f_lo[i], f_hi[i]], 1e-14)
+        raise ResonanceError(k, n, float(root[0]) if root.size else k)
 
 
 def stokes_coefficients(model: ModelSpec, k: float,

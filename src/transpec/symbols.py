@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, NumericalError, ValidationError
 
 # Threshold below which the removable singularities at kappa = 0 are replaced
 # by their series limits (whitham and ilw).
@@ -174,15 +174,60 @@ def _omega_at_zero_rho(model: ModelSpec, p, k):
     return model.gamma * (p - 1.0 / p) + k**2 * p * (model.j_eff(k) - model.j_eff(k * p))
 
 
-def _sign_changes(grid, values, refine) -> list:
-    """``refine(a, b)`` on each grid cell whose end values have opposite signs.
+def _sign_changes(f, grid, values, xtol: float, signs=None) -> np.ndarray:
+    """Where ``f`` changes sign in each grid cell whose end signs differ.
 
-    Zero and non-finite values carry no sign, so cells touching them are
-    skipped.
+    ``values`` is ``f(grid)``; ``signs`` defaults to its signs, with zero and
+    non-finite values carrying none, so cells touching them are skipped.  All
+    cells are refined at once by Brent's method (R. P. Brent, *Algorithms for
+    Minimization without Derivatives*, 1973) with the step rules and the
+    tolerance ``xtol + 4 eps |x|`` of scipy's C code; ``f`` maps an array of
+    points to their values.  The bracket is kept, so poles are found as well
+    as roots, and a cell end where ``f`` is exactly zero is returned as it is.
     """
-    values = np.asarray(values, dtype=float)
-    signs = np.where(np.isfinite(values), np.sign(values), 0.0)
-    return [refine(grid[i], grid[i + 1]) for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]]
+    grid, values = np.asarray(grid, dtype=float), np.asarray(values, dtype=float)
+    if signs is None:
+        signs = np.where(np.isfinite(values), np.sign(values), 0.0)
+    cells = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
+    xblk, xcur, fblk, fcur = grid[cells], grid[cells + 1], values[cells], values[cells + 1]
+    xpre, fpre, spre, scur = xblk, fblk, xcur - xblk, xcur - xblk
+    root = np.empty_like(xcur)
+    at = np.arange(cells.size)  # the cells still refining; a converged cell drops out
+    for _ in range(100):
+        # keep [xcur, xblk] a bracket, with xcur the end of smaller |f|
+        new = np.signbit(fpre) != np.signbit(fcur)
+        xblk, fblk = np.where(new, xpre, xblk), np.where(new, fpre, fblk)
+        spre, scur = np.where(new, xcur - xpre, spre), np.where(new, xcur - xpre, scur)
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = np.where(swap, [xcur, xblk, xcur], [xpre, xcur, xblk])
+        fpre, fcur, fblk = np.where(swap, [fcur, fblk, fcur], [fpre, fcur, fblk])
+
+        delta = (xtol + 4 * np.finfo(float).eps * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        hit = (fcur == 0) | (np.abs(sbis) < delta)
+        if hit.any():
+            root[at[hit]] = xcur[hit]
+            at = at[~hit]
+            xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+                a[~hit] for a in (xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis))
+        if not at.size:
+            return root
+
+        # secant or inverse quadratic step, kept only when it shrinks fast enough
+        with np.errstate(all="ignore"):
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            stry = np.where(xpre == xblk,
+                            -fcur * (xcur - xpre) / (fcur - fpre),
+                            -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))
+        good = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
+        spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)
+
+        xpre, fpre = xcur, fcur
+        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+        fcur = np.asarray(f(xcur), dtype=float)
+    raise NumericalError(f"root refinement did not converge near {xcur}")
 
 
 # --- named model registry -------------------------------------------------

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import transpec
 
 from transpec.cli import dumps, run
 
@@ -199,3 +205,36 @@ def test_sweep_manifest_order(tmp_path, capsys):
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert [(p["rho"], p["xi"]) for p in manifest["points"]] == [
         (0.2, 0.1), (0.2, 0.3), (0.4, 0.1), (0.4, 0.3)]
+
+
+_IMPORT_GUARD = """
+import contextlib, io, json, sys
+import transpec, transpec.cli
+from transpec.cli import run
+
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [run(argv.split()) for argv in (
+        "classify --model rmkp --k 2", "atlas", "wave --k 1", "collide --table",
+        "spectrum --N 64 --k 2 --rho 1.5 --xi 0.5")]
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+shift = "spectrum --model rmkp --k 2 --rho 1.5 --xi 0.5 --shift 0,0.38 --count 4"
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    codes.append(run(shift.split()))
+print(json.dumps({"codes": codes, "scipy": scipy, "shift": json.loads(out.getvalue())}))
+"""
+
+
+def test_analytic_and_dense_paths_do_not_import_scipy():
+    # a fresh interpreter, so no other test has imported scipy already
+    env = dict(os.environ, PYTHONPATH=str(Path(transpec.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD], env=env,
+                          capture_output=True, text=True, check=True)
+    record = json.loads(proc.stdout)
+    assert record["codes"] == [0] * 6
+    assert record["scipy"] == []
+    # the shift-invert path imports scipy on demand and still finds the
+    # bubble pair: growth alpha1 k^2 eps sqrt(xi (1 - xi)) = 0.02
+    growth = sorted(re for re, _ in record["shift"]["eigenvalues"])
+    assert growth[0] == pytest.approx(-0.02, rel=1e-5)
+    assert growth[-1] == pytest.approx(0.02, rel=1e-5)

@@ -7,12 +7,26 @@ from hypothesis import strategies as st
 
 from transpec import (
     DomainError,
+    NumericalError,
     ValidationError,
+    classify,
     classify_monotonicity,
     make_model,
+    resonant_wavenumbers,
     validate_hypotheses,
 )
-from transpec.symbols import MODEL_IDS, DispersionSymbol, ModelSpec, custom, fkdv, kdv
+from transpec.collisions import _positive_windows
+from transpec.reduced import _lw_margin_raw, _max_band_rho_sq
+from transpec.stokes import _resonance_mismatch
+from transpec.symbols import (
+    MODEL_IDS,
+    DispersionSymbol,
+    ModelSpec,
+    _sign_changes,
+    custom,
+    fkdv,
+    kdv,
+)
 
 BUILTIN_IDS = ["rmkp", "rmbo-kp", "rmg-kp", "rm-whitham-kp", "rmilw-kp", "reduced-rmkp"]
 
@@ -145,3 +159,74 @@ def test_gardner_family_switches():
     assert (mk.alpha1, mk.alpha2) == (0, -1)
     q = make_model("rmkp")
     assert (q.alpha1, q.alpha2) == (1, 0)
+
+
+# --- bracketed root finder ------------------------------------------------------
+
+def test_sign_changes_refines_a_pole_and_a_root_in_one_call():
+    def f(x):
+        return (x - 2.0) / (x - 0.3)
+
+    grid = np.linspace(0.05, 3.05, 31)
+    assert _sign_changes(f, grid, f(grid), 1e-13) == pytest.approx([0.3, 2.0], abs=1e-13)
+
+
+def test_sign_changes_on_the_gardner_margin():
+    # -3/2 + 2 eta2(k) has a pole at the n = 2 resonance k = 1/sqrt(2) and a
+    # root where 4.5 k^4 + k^2 - 9/8 = 0
+    m = make_model("rmg-kp")
+    grid = np.geomspace(1e-3, 1e3, 513)
+
+    def f(k):
+        return _lw_margin_raw(m, k)
+
+    root = math.sqrt((math.sqrt(1.0 + 20.25) - 1.0) / 9.0)
+    found = _sign_changes(f, grid, f(grid), 1e-12)
+    assert found == pytest.approx([root, 1.0 / math.sqrt(2.0)], abs=2e-12)
+
+
+@pytest.mark.parametrize("f", [lambda x: x - 1.0, lambda x: 1.0 - x], ids=["rising", "falling"])
+def test_sign_changes_exact_zero_at_a_grid_point(f):
+    grid = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
+    vals = f(grid)
+    # zero carries no sign by default, so both cells touching it are skipped
+    assert _sign_changes(f, grid, vals, 1e-12).size == 0
+    # counted as non-positive, the zero is a cell end and comes back as it is
+    found = _sign_changes(f, grid, vals, 1e-12, signs=np.where(vals > 0, 1.0, -1.0))
+    assert found.tolist() == [1.0]
+    window = (1.0, math.inf) if vals[-1] > 0 else (0.0, 1.0)
+    assert _positive_windows(f, grid, vals, 0.0, math.inf) == [window]
+
+
+def test_sign_changes_raises_when_a_cell_does_not_converge():
+    # bisection from 1e300 down to the root at 1 needs about 1000 halvings
+    def f(x):
+        return np.arctan(x - 1.0)
+
+    grid = np.array([0.0, 1e300])
+    with pytest.raises(NumericalError, match="did not converge"):
+        _sign_changes(f, grid, f(grid), 1e-12)
+
+
+@pytest.mark.parametrize("mid", MODEL_IDS)
+@pytest.mark.parametrize("beta", [1.0, -1.0])
+def test_sign_changes_match_brentq_on_resonances_and_onsets(mid, beta):
+    from scipy.optimize import brentq
+
+    m = make_model(mid, beta=beta, alpha=1.5 if mid == "rm-fkdv-kp" else None)
+    eps = np.finfo(float).eps
+
+    def check(x, f, grid, xtol):
+        i = int(np.searchsorted(grid, x)) - 1
+        ref = brentq(f, grid[i], grid[i + 1], xtol=xtol)
+        assert abs(x - ref) <= xtol + 4 * eps * abs(ref)
+
+    grid = np.geomspace(1e-3, 1e3, 513)
+    for k, n in resonant_wavenumbers(m):
+        check(k, lambda kk, n=n: _resonance_mismatch(m, kk, n), grid, 1e-14)
+    thresholds = classify(m, 1.0).thresholds
+    for key, k in thresholds.items():
+        if key.startswith("k_lw"):
+            check(k, lambda kk: _lw_margin_raw(m, kk), grid, 1e-12)
+        elif key.startswith("k_t1b"):
+            check(k, lambda kk: _max_band_rho_sq(m, kk)[1], np.geomspace(1e-3, 1e3, 161), 1e-12)
