@@ -60,11 +60,8 @@ from .stokes import (
 from .symbols import (
     MODEL_IDS,
     DispersionSymbol,
-    HypothesisReport,
     ModelSpec,
-    classify_monotonicity,
     make_model,
-    validate_hypotheses,
 )
 
 __version__ = "0.1.0"

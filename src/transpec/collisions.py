@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -113,11 +113,10 @@ def _positive_windows(f, grid: np.ndarray, vals: np.ndarray, lo_open: float,
     return [(float(a), float(b)) for a, b in zip(bounds[::2], bounds[1::2])]
 
 
-def collision_wavenumber_window(model: ModelSpec, n: int, theta: int, xi: float = 0.0,
-                                k_range=(1e-3, 1e3), brackets: int = 512):
+def collision_wavenumber_window(model: ModelSpec, n: int, theta: int, xi: float = 0.0):
     """k-intervals on which the (n, n+theta) collision exists at this xi.
 
-    Scans ``brackets`` log-spaced cells over ``k_range`` and refines every
+    Scans 512 log-spaced cells over [1e-3, 1e3] and refines every
     sign change of rho^2(k) at once to locate boundaries.  Windows still open
     at the scan edges are reported as (0, .) or (., inf).  If rho^2 vanishes
     identically (the mirror pair), the collision exists at rho = 0 for every k
@@ -126,7 +125,7 @@ def collision_wavenumber_window(model: ModelSpec, n: int, theta: int, xi: float 
     if theta < 1:
         raise ValidationError("theta must be a positive integer")
     m = n + theta
-    grid = np.geomspace(k_range[0], k_range[1], brackets + 1)
+    grid = np.geomspace(1e-3, 1e3, 513)
 
     def rho_sq(k):
         return collision_rho_squared(model, n, m, xi, k)
@@ -138,15 +137,14 @@ def collision_wavenumber_window(model: ModelSpec, n: int, theta: int, xi: float 
     return _positive_windows(rho_sq, grid, vals, 0.0, math.inf)
 
 
-def collision_floquet_window(model: ModelSpec, n: int, theta: int, k: float,
-                             samples: int = 4096):
+def collision_floquet_window(model: ModelSpec, n: int, theta: int, k: float):
     """xi-intervals in (0, 1/2] on which the (n, n+theta) collision exists at this k."""
     if theta < 1:
         raise ValidationError("theta must be a positive integer")
     if not k > 0:
         raise DomainError("wavenumber must be positive")
     m = n + theta
-    grid = np.linspace(0.5 / samples, 0.5, samples)
+    grid = np.linspace(0.5 / 4096, 0.5, 4096)
     # composite indices must stay nonzero on the scan
     grid = grid[(np.abs(grid + n) > 1e-9) & (np.abs(grid + m) > 1e-9)]
 
@@ -205,9 +203,7 @@ def _collision_at(model: ModelSpec, n: int, theta: int, xi: float,
 
 
 def enumerate_potentially_unstable(model: ModelSpec, theta: int, perturbation: str,
-                                   k: Optional[float] = None,
-                                   xi_grid: Optional[Sequence[float]] = None,
-                                   ) -> List[CollisionRecord]:
+                                   k: Optional[float] = None) -> List[CollisionRecord]:
     """Collision records that pass the opposite-Krein-signature filter.
 
     ``perturbation`` selects the mode space: ``"periodic"`` restricts to
@@ -229,10 +225,8 @@ def enumerate_potentially_unstable(model: ModelSpec, theta: int, perturbation: s
                 kw, rho_sq = hit
                 records.append(_make_record(model, n, theta, 0.0, kw, rho_sq))
     else:
-        if xi_grid is None:
-            xi_grid = [0.5 * j / 64 for j in range(64, 0, -1)]
         for n in range(-theta, 0):
-            for xi in xi_grid:
+            for xi in [0.5 * j / 64 for j in range(64, 0, -1)]:
                 if abs(n + xi) < 1e-9 or abs(n + theta + xi) < 1e-9:
                     continue
                 if (n + xi) * (n + theta + xi) >= 0:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
 from .stokes import StokesWave, build_wave, profile_coefficients
-from .symbols import ModelSpec
+from .symbols import ModelSpec, _omega_at_zero_rho
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,6 @@ class OperatorMatrix:
     N: int
     modes: np.ndarray
     matrix: np.ndarray
-    model: ModelSpec
     wave: StokesWave
     rho: float
     xi: float
@@ -84,10 +83,11 @@ def assemble_operator(model: ModelSpec, wave: StokesWave, rho: float, xi: float,
                       N: int = 64) -> OperatorMatrix:
     """Build the dense truncated operator at (rho, xi).
 
-    The diagonal carries ``i p k^2 (c(eps) - j_eff(k p)) - i (gamma + rho^2)/p``
-    for ``p = n + xi``; off-diagonals come from the Fourier coefficients of
-    ``-2 alpha1 eta - 3 alpha2 eta^2``, so the bandwidth is 3 (or 6 with a
-    cubic term).  At xi = 0 the zero mode is excluded.
+    The diagonal is ``i Omega(n, rho, xi)`` plus the speed correction
+    ``i p k^2 (c(eps) - c0)``, ``p = n + xi``.  Off-diagonals come from the
+    Fourier coefficients of ``-2 alpha1 eta - 3 alpha2 eta^2``, so the
+    bandwidth is 3 (or 6 with a cubic term).  At xi = 0 the zero mode is
+    excluded.
     """
     if N < 8:
         raise ValidationError("need N >= 8 modes")
@@ -98,7 +98,6 @@ def assemble_operator(model: ModelSpec, wave: StokesWave, rho: float, xi: float,
         ns = ns[ns != 0]
     p = ns + xi
     k = wave.k
-    g = model.gamma
 
     eta_hat = profile_coefficients(wave)           # offsets -3..3
     sq_hat = np.convolve(eta_hat, eta_hat)         # offsets -6..6
@@ -106,16 +105,15 @@ def assemble_operator(model: ModelSpec, wave: StokesWave, rho: float, xi: float,
     g_hat[3:10] += -2.0 * model.alpha1 * eta_hat
     g_hat += -3.0 * model.alpha2 * sq_hat
 
-    c_eps = wave.speed
-    diag = 1j * (p * k**2 * (c_eps - model.j_eff(k * p)) - (g + rho**2) / p)
+    speed_shift = p * k**2 * (wave.speed - wave.c0)
+    diag = 1j * (_omega_at_zero_rho(model, p, k) - rho**2 / p + speed_shift)
 
     offsets = np.subtract.outer(ns, ns)            # row - column
     rows, cols = np.nonzero(np.abs(offsets) <= 6)
     A = np.zeros((ns.size, ns.size), dtype=complex)
     A[rows, cols] = 1j * p[rows] * k**2 * g_hat[offsets[rows, cols] + 6]
     A[np.diag_indices_from(A)] += diag
-    return OperatorMatrix(N=N, modes=ns, matrix=A, model=model, wave=wave,
-                          rho=float(rho), xi=float(xi))
+    return OperatorMatrix(N=N, modes=ns, matrix=A, wave=wave, rho=float(rho), xi=float(xi))
 
 
 def _rounding_floor(ev: np.ndarray) -> float:
@@ -227,14 +225,14 @@ def sweep(model: ModelSpec, k: float, eps: float, rho_grid: Sequence[float],
     return [run(rho, xi) for rho in rho_grid for xi in xi_grid]
 
 
-def detect_bubbles(results: Sequence[SpectrumResult], threshold: Optional[float] = None,
-                   gap: float = 0.05) -> List[Bubble]:
+def detect_bubbles(results: Sequence[SpectrumResult],
+                   threshold: Optional[float] = None) -> List[Bubble]:
     """Cluster unstable eigenvalues into isolated bubbles on the imaginary axis.
 
     Eigenvalues with real part above ``threshold`` (default: the rounding
     floor of the largest spectrum) are paired with their
-    mirror partner (reflection through the imaginary axis), clustered by
-    imaginary-part proximity with the given ``gap``, and summarized by the
+    mirror partner (reflection through the imaginary axis), clustered where
+    imaginary parts lie within 0.05 of each other, and summarized by the
     mean pair midpoint.
     """
     finite = [r for r in results if r.error is None and r.eigenvalues.size]
@@ -255,7 +253,7 @@ def detect_bubbles(results: Sequence[SpectrumResult], threshold: Optional[float]
     bubbles = []
     cluster = [hits[0]]
     for h in hits[1:]:
-        if h[0] - cluster[-1][0] <= gap:
+        if h[0] - cluster[-1][0] <= 0.05:
             cluster.append(h)
         else:
             bubbles.append(_summarize_cluster(cluster))

@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .collisions import collision_rho_squared, omega
+from .collisions import collision_rho_squared
 from .errors import DomainError
 from .stokes import _eta2, _resonance_mismatch, check_resonance
 from .symbols import ModelSpec, _sign_changes, make_model
@@ -52,7 +52,7 @@ ATLAS_MODELS = (
 class Verdict:
     """A stability decision with the analysis tag and thresholds behind it."""
 
-    outcome: str                       # "unstable" | "stable" | "inconclusive"
+    outcome: str                       # "unstable" | "stable"
     theorem: str                       # analysis tag, e.g. "t1".."t8"
     thresholds: Dict[str, float] = field(default_factory=dict)
     conditions: List[Tuple[str, bool]] = field(default_factory=list)
@@ -73,7 +73,6 @@ class Theta1Band:
     xi: float
     rho_c_sq: float
     halfwidth: float
-    omega_c: float
     growth_peak: float
 
     @property
@@ -101,8 +100,8 @@ def _channel_verdict(model: ModelSpec, unstable, thresholds: Dict[str, float], k
                    [(condition, bool(unstable))])
 
 
-def golden_max(f, lo, hi, tol: float = 1e-8):
-    """Golden-section maximizer of a unimodal function on [lo, hi].
+def golden_max(f, lo, hi):
+    """Golden-section maximizer of a unimodal function on [lo, hi], to 1e-8 in x.
 
     ``lo`` and ``hi`` may be arrays of brackets of one width; ``f`` then takes
     an array of points and every bracket is narrowed in the same steps.
@@ -111,7 +110,7 @@ def golden_max(f, lo, hi, tol: float = 1e-8):
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while np.max(b - a) > tol:
+    while np.max(b - a) > 1e-8:
         left = fc > fd  # the peak lies in [a, d], whose upper inner point is c
         a, b = np.where(left, a, c), np.where(left, d, b)
         kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
@@ -149,12 +148,11 @@ def long_wavelength_lambda2(model: ModelSpec, k: float, eps: float, rho: float) 
     return -(rho**2) * (rho**2 + k**2 * eps**2 * lw_margin(model, k))
 
 
-def long_wavelength_verdict(model: ModelSpec, k: float,
-                            k_range=(1e-3, 1e3)) -> Verdict:
+def long_wavelength_verdict(model: ModelSpec, k: float) -> Verdict:
     """Verdict for co-periodic perturbations with long transverse wavelength."""
     margin = lw_margin(model, k)
     unstable = margin < 0
-    grid = np.geomspace(k_range[0], k_range[1], 513)
+    grid = np.geomspace(1e-3, 1e3, 513)
     def cleared(kk):
         # the margin times mismatch_2^2: its sign, with its poles made simple roots
         m = _resonance_mismatch(model, kk, 2)
@@ -180,13 +178,8 @@ def theta1_band(model: ModelSpec, k: float, eps: float, xi: float) -> Theta1Band
     rho_c_sq = collision_rho_squared(model, -1, 0, xi, k)
     halfwidth = 2.0 * model.alpha1 * k**2 * (xi * (1 - xi)) ** 1.5 * abs(eps)
     growth = model.alpha1 * k**2 * abs(eps) * math.sqrt(xi * (1 - xi))
-    if rho_c_sq > 0:
-        w = omega(model, 0, math.sqrt(rho_c_sq), xi, k)
-    else:
-        w = math.nan
     return Theta1Band(xi=float(xi), rho_c_sq=float(rho_c_sq),
-                      halfwidth=float(halfwidth), omega_c=float(w),
-                      growth_peak=float(growth))
+                      halfwidth=float(halfwidth), growth_peak=float(growth))
 
 
 def _max_band_rho_sq(model: ModelSpec, k):
@@ -200,14 +193,14 @@ def _max_band_rho_sq(model: ModelSpec, k):
     scan = collision_rho_squared(model, -1, 0, _XI_SCAN, k[..., None])
     best = np.clip(np.argmax(scan, axis=-1), 1, _XI_SCAN.size - 2)
     return golden_max(lambda xi: collision_rho_squared(model, -1, 0, xi, k),
-                      _XI_SCAN[best - 1], _XI_SCAN[best + 1], tol=1e-8)
+                      _XI_SCAN[best - 1], _XI_SCAN[best + 1])
 
 
-def theta1_verdict(model: ModelSpec, k: float, k_range=(1e-3, 1e3)) -> Verdict:
+def theta1_verdict(model: ModelSpec, k: float) -> Verdict:
     """Verdict for non-periodic perturbations with finite transverse wavelength."""
     if not k > 0:
         raise DomainError("wavenumber must be positive")
-    grid = np.geomspace(k_range[0], k_range[1], 161)
+    grid = np.geomspace(1e-3, 1e3, 161)
     xis, peaks = _max_band_rho_sq(model, np.append(grid, k))
     xi_star, best = xis[-1], peaks[-1]
     unstable = best > 0
@@ -243,16 +236,14 @@ def classify(model: ModelSpec, k: float) -> Verdict:
 
 # --- existence-over-k atlas ---------------------------------------------------
 
-def atlas(model_ids: Sequence[str] = ATLAS_MODELS, gamma: float = 1.0,
-          fkdv_alpha: float = 1.5, k_grid: Optional[np.ndarray] = None,
-          ) -> Dict[str, Dict[str, Verdict]]:
+def atlas(gamma: float = 1.0, fkdv_alpha: float = 1.5) -> Dict[str, Dict[str, Verdict]]:
     """Existence verdicts ('unstable for some k > 0') per model and perturbation class.
 
-    Each named model is instantiated at beta = +1 and beta = -1 with the given
-    gamma; columns pin the beta sign they quantify over.
+    Each model of ``ATLAS_MODELS`` is instantiated at beta = +1 and beta = -1
+    with the given gamma, on 61 log-spaced k in [1e-3, 1e3]; columns pin the
+    beta sign they quantify over.
     """
-    if k_grid is None:
-        k_grid = np.geomspace(1e-3, 1e3, 61)
+    k_grid = np.geomspace(1e-3, 1e3, 61)
 
     def cell(unstable_at, model, kdv_tag, general_tag, condition):
         # unstable_at: one flag per k_grid point; the first unstable k is the witness
@@ -269,7 +260,7 @@ def atlas(model_ids: Sequence[str] = ATLAS_MODELS, gamma: float = 1.0,
     lw = "exists k with negative long-wavelength margin"
     band = "exists (k, xi) with positive band rho_c^2"
     table: Dict[str, Dict[str, Verdict]] = {}
-    for mid in model_ids:
+    for mid in ATLAS_MODELS:
         alpha = fkdv_alpha if mid == "rm-fkdv-kp" else None
         pos = make_model(mid, gamma=gamma, beta=1.0, alpha=alpha)
         neg = make_model(mid, gamma=gamma, beta=-1.0, alpha=alpha)

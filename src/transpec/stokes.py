@@ -19,7 +19,7 @@ import numpy as np
 from .errors import AmplitudeValidityWarning, DomainError, ResonanceError, ValidationError
 from .symbols import ModelSpec, _omega_at_zero_rho, _sign_changes
 
-#: Default half-distance in k below which a wavenumber counts as resonant.
+#: Half-distance in k below which a wavenumber counts as resonant.
 RESONANCE_TOL = 1e-6
 
 #: Highest harmonic checked by the resonance guard.
@@ -42,9 +42,6 @@ class StokesWave:
     def speed(self) -> float:
         return self.c0 + self.eps**2 * self.c2
 
-    def profile(self, z):
-        return wave_profile(self, z)
-
 
 def phase_speed_c0(model: ModelSpec, k: float) -> float:
     """Bifurcation speed of the fundamental mode: beta*j(k) + gamma/k^2."""
@@ -66,8 +63,7 @@ def _eta2(model: ModelSpec, k):
     return 2 * model.alpha1 * k**2 / (-4 * _resonance_mismatch(model, k, 2))
 
 
-def resonant_wavenumbers(model: ModelSpec, k_range=(1e-3, 1e3), n_max: int = 8,
-                         brackets: int = 512):
+def resonant_wavenumbers(model: ModelSpec, k_range=(1e-3, 1e3), n_max: int = 8):
     """All resonant wavenumbers in ``k_range`` for harmonics 2..n_max.
 
     Returns a list of (k, n) pairs sorted by k.  Each root is polished so the
@@ -79,23 +75,22 @@ def resonant_wavenumbers(model: ModelSpec, k_range=(1e-3, 1e3), n_max: int = 8,
         raise ValidationError(f"k_range must satisfy 0 < lo < hi, got {k_range}")
     if n_max < 2:
         raise ValidationError("n_max must be at least 2")
-    grid = np.geomspace(lo, hi, brackets + 1)
+    grid = np.geomspace(lo, hi, 513)
     ns = range(2, n_max + 1)
     found = []
     for n, vals in zip(ns, _resonance_mismatch(model, grid, np.array(ns)[:, None])):
         roots = _sign_changes(lambda k, n=n: _resonance_mismatch(model, k, n), grid, vals, 1e-14)
-        found += [(float(k), n) for k in [*roots, *grid[vals == 0.0]]]
-    return sorted(set(found))
+        found += [(float(k), n) for k in roots]
+    return sorted(found)
 
 
-def check_resonance(model: ModelSpec, k: float, tol: float = RESONANCE_TOL,
-                    n_max: int = RESONANCE_GUARD_NMAX) -> None:
-    """Raise ResonanceError when k is within ``tol`` of a resonant wavenumber."""
+def check_resonance(model: ModelSpec, k: float) -> None:
+    """Raise ResonanceError when k is within ``RESONANCE_TOL`` of a resonant wavenumber."""
     if not (np.isfinite(k) and k > 0):
         raise DomainError(f"wavenumber must be positive, got {k}")
-    lo = max(k - tol, 1e-30)
-    hi = k + tol
-    ns = np.arange(2, n_max + 1)
+    lo = max(k - RESONANCE_TOL, 1e-30)
+    hi = k + RESONANCE_TOL
+    ns = np.arange(2, RESONANCE_GUARD_NMAX + 1)
     f_lo, f_hi = _resonance_mismatch(model, np.array([[lo], [hi]]), ns)
     hit = (f_lo == 0.0) | (f_hi == 0.0) | ((f_lo < 0) != (f_hi < 0))
     if hit.any():
@@ -106,10 +101,9 @@ def check_resonance(model: ModelSpec, k: float, tol: float = RESONANCE_TOL,
         raise ResonanceError(k, n, float(root[0]) if root.size else k)
 
 
-def stokes_coefficients(model: ModelSpec, k: float,
-                        resonance_tol: float = RESONANCE_TOL):
+def stokes_coefficients(model: ModelSpec, k: float):
     """Harmonic coefficients (eta2, eta3) and speed correction c2 at wavenumber k."""
-    check_resonance(model, k, tol=resonance_tol)
+    check_resonance(model, k)
     a1, a2 = model.alpha1, model.alpha2
     eta2 = _eta2(model, k)
     eta3 = (9 * a1 * k**2 * eta2 + 2.25 * a2 * k**2) / (-9 * _resonance_mismatch(model, k, 3))
@@ -118,9 +112,9 @@ def stokes_coefficients(model: ModelSpec, k: float,
 
 
 def build_wave(model: ModelSpec, k: float, eps: float = 0.01,
-               resonance_tol: float = RESONANCE_TOL, check: bool = True) -> StokesWave:
+               check: bool = True) -> StokesWave:
     """Construct the wave at (k, eps), warning when the truncation is strained."""
-    eta2, eta3, c2 = stokes_coefficients(model, k, resonance_tol=resonance_tol)
+    eta2, eta3, c2 = stokes_coefficients(model, k)
     wave = StokesWave(model, float(k), float(eps), eta2, eta3,
                       phase_speed_c0(model, k), c2)
     if check and eps != 0.0:

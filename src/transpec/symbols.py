@@ -41,15 +41,14 @@ def _ilw_rule(x: np.ndarray) -> np.ndarray:
     return out
 
 
-# Built-in symbols: id -> (rule on x = |kappa| given the symbol, documented
-# large-kappa exponent b with j ~ kappa^b; fkdv's exponent is its alpha).
+# Built-in symbols: id -> rule on x = |kappa| given the symbol.
 _RULES = {
-    "kdv": (lambda s, x: x * x, 2.0),
-    "bo": (lambda s, x: x.copy(), 1.0),
-    "fkdv": (lambda s, x: 1.0 + x**s.alpha, None),
-    "whitham": (lambda s, x: _whitham_rule(np.atleast_1d(x)), -0.5),
-    "ilw": (lambda s, x: _ilw_rule(np.atleast_1d(x)), 1.0),
-    "reduced": (lambda s, x: np.full_like(x, s.constant), 0.0),
+    "kdv": lambda s, x: x * x,
+    "bo": lambda s, x: x.copy(),
+    "fkdv": lambda s, x: 1.0 + x**s.alpha,
+    "whitham": lambda s, x: _whitham_rule(np.atleast_1d(x)),
+    "ilw": lambda s, x: _ilw_rule(np.atleast_1d(x)),
+    "reduced": lambda s, x: np.ones_like(x),
 }
 
 
@@ -58,13 +57,12 @@ class DispersionSymbol:
     """An even, real-valued Fourier multiplier rule ``kappa -> j(kappa)``.
 
     ``id`` selects the evaluation rule: one of ``kdv``, ``bo``, ``fkdv``
-    (needs ``alpha > 1/2``), ``whitham``, ``ilw``, ``reduced`` (constant) or
+    (needs ``alpha > 1/2``), ``whitham``, ``ilw``, ``reduced`` (constant 1) or
     ``custom`` (callable ``fn``).
     """
 
     id: str
     alpha: Optional[float] = None
-    constant: float = 1.0
     fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
@@ -85,16 +83,9 @@ class DispersionSymbol:
         if self.id == "custom":
             out = np.asarray(self.fn(kappa), dtype=float)
         else:
-            out = _RULES[self.id][0](self, np.abs(kappa))
+            out = _RULES[self.id](self, np.abs(kappa))
         out = out.reshape(kappa.shape)
         return out if out.ndim else float(out)
-
-    @property
-    def growth_exponent(self) -> Optional[float]:
-        """Documented large-kappa exponent b with j ~ kappa^b, when known."""
-        if self.id == "fkdv":
-            return self.alpha
-        return _RULES[self.id][1] if self.id in _RULES else None
 
 
 def kdv() -> DispersionSymbol:
@@ -117,8 +108,8 @@ def ilw() -> DispersionSymbol:
     return DispersionSymbol("ilw")
 
 
-def reduced(constant: float = 1.0) -> DispersionSymbol:
-    return DispersionSymbol("reduced", constant=constant)
+def reduced() -> DispersionSymbol:
+    return DispersionSymbol("reduced")
 
 
 def custom(fn: Callable) -> DispersionSymbol:
@@ -178,8 +169,9 @@ def _sign_changes(f, grid, values, xtol: float, signs=None) -> np.ndarray:
     """Where ``f`` changes sign in each grid cell whose end signs differ.
 
     ``values`` is ``f(grid)``; ``signs`` defaults to its signs, with zero and
-    non-finite values carrying none, so cells touching them are skipped.  All
-    cells are refined at once by Brent's method (R. P. Brent, *Algorithms for
+    non-finite values carrying none, so cells touching them are skipped.  An
+    exact zero between values of opposite sign is itself a root.  All cells
+    are refined at once by Brent's method (R. P. Brent, *Algorithms for
     Minimization without Derivatives*, 1973) with the step rules and the
     tolerance ``xtol + 4 eps |x|`` of scipy's C code; ``f`` maps an array of
     points to their values.  The bracket is kept, so poles are found as well
@@ -188,6 +180,7 @@ def _sign_changes(f, grid, values, xtol: float, signs=None) -> np.ndarray:
     grid, values = np.asarray(grid, dtype=float), np.asarray(values, dtype=float)
     if signs is None:
         signs = np.where(np.isfinite(values), np.sign(values), 0.0)
+    on_grid = grid[1:-1][(values[1:-1] == 0) & (signs[1:-1] == 0) & (signs[:-2] * signs[2:] < 0)]
     cells = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
     xblk, xcur, fblk, fcur = grid[cells], grid[cells + 1], values[cells], values[cells + 1]
     xpre, fpre, spre, scur = xblk, fblk, xcur - xblk, xcur - xblk
@@ -211,7 +204,7 @@ def _sign_changes(f, grid, values, xtol: float, signs=None) -> np.ndarray:
             xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
                 a[~hit] for a in (xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis))
         if not at.size:
-            return root
+            return np.sort(np.append(root, on_grid))
 
         # secant or inverse quadratic step, kept only when it shrinks fast enough
         with np.errstate(all="ignore"):
@@ -241,7 +234,7 @@ _MODELS = {
     "rm-mkdv-kp": (fkdv(2.0), 0, -1),
     "rm-whitham-kp": (whitham(), 1, 0),
     "rmilw-kp": (ilw(), 1, 0),
-    "reduced-rmkp": (reduced(1.0), 1, 0),
+    "reduced-rmkp": (reduced(), 1, 0),
 }
 
 MODEL_IDS = tuple(_MODELS)
@@ -263,94 +256,3 @@ def make_model(model_id: str, gamma: float = 1.0, beta: float = 1.0,
         symbol = fkdv(alpha)
     return ModelSpec(symbol, beta, alpha1, alpha2, gamma, name=model_id)
 
-
-# --- hypothesis checks ----------------------------------------------------
-
-def _classify_values(grid: np.ndarray, vals: np.ndarray) -> str:
-    """Sign class of a sampled function, or raise naming a violating pair."""
-    d = np.diff(vals)
-    tol = 1e-13 * max(1.0, float(np.max(np.abs(vals))))
-    pos = d > tol
-    neg = d < -tol
-    if pos.any() and neg.any():
-        flip = int(np.argmax(neg)) if pos.sum() >= neg.sum() else int(np.argmax(pos))
-        raise ValidationError(
-            "not monotone: opposite slopes around kappa in "
-            f"({grid[flip]:.6g}, {grid[flip + 1]:.6g})"
-        )
-    if pos.any():
-        return "increasing"
-    if neg.any():
-        return "decreasing"
-    raise ValidationError(
-        f"not strictly monotone: constant on the sampled grid ({grid[0]:.6g}, {grid[-1]:.6g})"
-    )
-
-
-def classify_monotonicity(model: ModelSpec, kappa_max: float = 10.0,
-                          samples: int = 4096) -> str:
-    """Classify the effective symbol beta*j as increasing or decreasing on (0, kappa_max]."""
-    if not kappa_max > 0:
-        raise ValidationError("kappa_max must be positive")
-    if samples < 16:
-        raise ValidationError("need at least 16 samples")
-    grid = np.linspace(kappa_max / samples, kappa_max, samples)
-    return _classify_values(grid, np.asarray(model.j_eff(grid)))
-
-
-@dataclass(frozen=True)
-class HypothesisReport:
-    """Pass/fail record for the three multiplier requirements."""
-
-    j1_even_real: bool
-    j2_growth: bool
-    j3_monotone: bool
-    growth_exponent: float
-    monotonicity: Optional[str]
-    notes: str = ""
-
-    @property
-    def passed(self) -> bool:
-        return self.j1_even_real and self.j2_growth and self.j3_monotone
-
-
-def validate_hypotheses(model: ModelSpec) -> HypothesisReport:
-    """Check the raw symbol against the multiplier requirements.
-
-    J1: even, real-valued, finite away from 0.  J2: power-law growth bound
-    at large kappa with fitted exponent b >= -1.  J3: strictly monotone on
-    kappa > 0.  Failures are reported, never raised.
-    """
-    sym = model.symbol
-    grid = np.linspace(1e-3, 20.0, 1000)
-    try:
-        right = np.asarray(sym.evaluate(grid), dtype=float)
-        left = np.asarray(sym.evaluate(-grid), dtype=float)
-        j1 = bool(np.all(np.isfinite(right)) and np.max(np.abs(right - left)) == 0.0)
-    except Exception:
-        j1 = False
-
-    b = float("nan")
-    j2 = False
-    try:
-        big = np.logspace(2, 4, 64)
-        vals = np.asarray(sym.evaluate(big), dtype=float)
-        if np.all(vals > 0):
-            logk = np.log(big)
-            logj = np.log(vals)
-            b, intercept = np.polyfit(logk, logj, 1)
-            resid = logj - (b * logk + intercept)
-            j2 = bool(np.max(np.abs(resid)) < 0.1 and b >= -1.0 - 1e-9)
-    except Exception:
-        pass
-
-    mono: Optional[str] = None
-    notes = ""
-    try:
-        mono = _classify_values(grid, np.asarray(sym.evaluate(grid), dtype=float))
-        j3 = True
-    except ValidationError as exc:
-        j3 = False
-        notes = str(exc)
-
-    return HypothesisReport(j1, j2, j3, float(b), mono, notes)

@@ -62,6 +62,11 @@ def test_lw_verdict_rmkp_threshold():
     assert v.outcome == "stable"
     assert v.thresholds["k_lw"] == pytest.approx(0.25**0.25, abs=1e-6)
     assert v.theorem == "t1"
+    # k_lw = (gamma/4)^(1/4); at gamma = 4 it is the scan grid point k = 1
+    on_grid = long_wavelength_verdict(make_model("rmkp", gamma=4.0), 2.0)
+    assert on_grid.thresholds["k_lw"] == 1.0
+    near = long_wavelength_verdict(make_model("rmkp", gamma=3.9), 2.0)
+    assert near.thresholds["k_lw"] == pytest.approx((3.9 / 4) ** 0.25, abs=1e-12)
 
 
 def test_lw_verdict_negative_beta_stable_all_k():

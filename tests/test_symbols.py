@@ -10,10 +10,8 @@ from transpec import (
     NumericalError,
     ValidationError,
     classify,
-    classify_monotonicity,
     make_model,
     resonant_wavenumbers,
-    validate_hypotheses,
 )
 from transpec.collisions import _positive_windows
 from transpec.reduced import _lw_margin_raw, _max_band_rho_sq
@@ -23,7 +21,6 @@ from transpec.symbols import (
     DispersionSymbol,
     ModelSpec,
     _sign_changes,
-    custom,
     fkdv,
     kdv,
 )
@@ -72,60 +69,6 @@ def test_evenness_machine_precision(mid):
 def test_evenness_property(kappa):
     m = make_model("rm-whitham-kp")
     assert m.j_eff(kappa) == m.j_eff(-kappa)
-
-
-def test_monotonicity_classes():
-    assert classify_monotonicity(make_model("rmkp", beta=1.0)) == "increasing"
-    assert classify_monotonicity(make_model("rm-whitham-kp", beta=1.0)) == "decreasing"
-    assert classify_monotonicity(make_model("rmilw-kp", beta=-1.0)) == "decreasing"
-
-
-@pytest.mark.parametrize("mid", ["rmkp", "rmbo-kp", "rm-whitham-kp", "rmilw-kp"])
-def test_beta_flip_reverses_class(mid):
-    pos = classify_monotonicity(make_model(mid, beta=1.0))
-    neg = classify_monotonicity(make_model(mid, beta=-1.0))
-    assert {pos, neg} == {"increasing", "decreasing"}
-
-
-def test_classify_rejects_nonmonotone():
-    m = ModelSpec(custom(np.sin), 1.0, 1, 0, 1.0)
-    with pytest.raises(ValidationError, match="kappa"):
-        classify_monotonicity(m)
-
-
-def test_classify_rejects_constant():
-    m = make_model("reduced-rmkp", beta=0.0)
-    with pytest.raises(ValidationError, match="constant"):
-        classify_monotonicity(m)
-
-
-def test_hypothesis_report_fkdv():
-    rep = validate_hypotheses(make_model("rm-fkdv-kp", alpha=1.5))
-    assert rep.passed
-    assert rep.growth_exponent == pytest.approx(1.5, abs=0.05)
-    assert rep.monotonicity == "increasing"
-
-
-def test_hypothesis_report_whitham():
-    rep = validate_hypotheses(make_model("rm-whitham-kp"))
-    assert rep.passed
-    assert rep.growth_exponent == pytest.approx(-0.5, abs=0.05)
-    assert rep.monotonicity == "decreasing"
-
-
-@pytest.mark.parametrize("mid,b", [("rmkp", 2.0), ("rmbo-kp", 1.0), ("rmilw-kp", 1.0)])
-def test_fitted_exponents_match_documentation(mid, b):
-    m = make_model(mid)
-    rep = validate_hypotheses(m)
-    assert rep.passed
-    assert rep.growth_exponent == pytest.approx(b, abs=0.05)
-    assert m.symbol.growth_exponent == b
-
-
-def test_hypothesis_report_sine_fails_monotone():
-    rep = validate_hypotheses(ModelSpec(custom(np.sin), 1.0, 1, 0, 1.0))
-    assert not rep.j3_monotone
-    assert not rep.passed
 
 
 def test_model_validation():
@@ -189,8 +132,8 @@ def test_sign_changes_on_the_gardner_margin():
 def test_sign_changes_exact_zero_at_a_grid_point(f):
     grid = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
     vals = f(grid)
-    # zero carries no sign by default, so both cells touching it are skipped
-    assert _sign_changes(f, grid, vals, 1e-12).size == 0
+    # an exact zero between values of opposite sign is itself the root
+    assert _sign_changes(f, grid, vals, 1e-12).tolist() == [1.0]
     # counted as non-positive, the zero is a cell end and comes back as it is
     found = _sign_changes(f, grid, vals, 1e-12, signs=np.where(vals > 0, 1.0, -1.0))
     assert found.tolist() == [1.0]
