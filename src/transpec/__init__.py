@@ -53,7 +53,6 @@ from .stokes import (
     build_wave,
     phase_speed_c0,
     residual_norm,
-    resonant_wavenumbers,
     stokes_coefficients,
     wave_profile,
 )

@@ -145,10 +145,13 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
 
 def _parse_grid(text: str) -> list:
     """Parse 'lo:hi:num' into a list, or a comma list of values."""
-    if ":" in text:
-        lo, hi, num = text.split(":")
-        return list(np.linspace(float(lo), float(hi), int(num)))
-    return [float(v) for v in text.split(",")]
+    try:
+        if ":" in text:
+            lo, hi, num = text.split(":")
+            return list(np.linspace(float(lo), float(hi), int(num)))
+        return [float(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise ValidationError(f"grid expects 'lo:hi:num' or a comma list, got {text!r}") from exc
 
 
 _DEFAULTS = {"model": "rmkp", "gamma": 1.0, "beta": 1.0, "alpha": None,
@@ -184,6 +187,8 @@ def _model_from(cfg: dict) -> symbols.ModelSpec:
 # --- subcommands ---------------------------------------------------------------
 
 def _cmd_wave(args) -> int:
+    if args.samples < 0:
+        raise ValidationError(f"--samples must be non-negative, got {args.samples}")
     cfg = _merged(args)
     model = _model_from(cfg)
     k, eps = float(cfg["k"]), float(cfg["eps"])
@@ -192,7 +197,7 @@ def _cmd_wave(args) -> int:
         "model": cfg["model"], "gamma": model.gamma, "beta": model.beta,
         "k": k, "eps": eps,
         "eta2": wave.eta2, "eta3": wave.eta3, "c0": wave.c0, "c2": wave.c2,
-        "residual": stokes.residual_norm(model, wave, N=int(cfg["N"])),
+        "residual": stokes.residual_norm(model, wave),
     }
     _write_text(getattr(args, "json", None), dumps(record))
     if args.csv:
@@ -325,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument("--k", type=float, default=None)
     p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--N", type=int, default=None)
     p.add_argument("--json", default=None, help="output path (default stdout)")
     p.add_argument("--csv", default=None, help="write (z, eta) samples here")
     p.add_argument("--samples", type=int, default=256)
@@ -396,10 +400,7 @@ def run(argv) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-    except (ValidationError, TranspecError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (TranspecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

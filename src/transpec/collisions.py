@@ -208,7 +208,8 @@ def enumerate_potentially_unstable(model: ModelSpec, theta: int, perturbation: s
 
     ``perturbation`` selects the mode space: ``"periodic"`` restricts to
     integer modes with xi = 0 (mean-zero space, so neither index may vanish);
-    ``"nonperiodic"`` sweeps xi over (0, 1/2] and admits the zero mode.  When
+    ``"nonperiodic"`` admits the zero mode and keeps, per pair, the largest
+    xi in 1/128, 2/128, ..., 1/2 at which it collides.  When
     ``k`` is omitted, a witness wavenumber inside the first collision window
     is chosen per pair; pairs with no collision anywhere are dropped.
     """
@@ -218,22 +219,11 @@ def enumerate_potentially_unstable(model: ModelSpec, theta: int, perturbation: s
         raise ValidationError("perturbation must be 'periodic' or 'nonperiodic'")
 
     records: List[CollisionRecord] = []
-    if perturbation == "periodic":
-        for n in range(-theta + 1, 0):
-            hit = _collision_at(model, n, theta, 0.0, k)
+    periodic = perturbation == "periodic"
+    for n in range(-theta + periodic, 0):
+        for xi in [0.0] if periodic else [j / 128 for j in range(64, 0, -1)]:
+            hit = _collision_at(model, n, theta, xi, k)
             if hit is not None:
-                kw, rho_sq = hit
-                records.append(_make_record(model, n, theta, 0.0, kw, rho_sq))
-    else:
-        for n in range(-theta, 0):
-            for xi in [0.5 * j / 64 for j in range(64, 0, -1)]:
-                if abs(n + xi) < 1e-9 or abs(n + theta + xi) < 1e-9:
-                    continue
-                if (n + xi) * (n + theta + xi) >= 0:
-                    continue
-                hit = _collision_at(model, n, theta, xi, k)
-                if hit is not None:
-                    kw, rho_sq = hit
-                    records.append(_make_record(model, n, theta, xi, kw, rho_sq))
-                    break
-    return sorted(records, key=lambda r: r.n)
+                records.append(_make_record(model, n, theta, xi, *hit))
+                break
+    return records

@@ -162,8 +162,8 @@ def shift_invert_eigs(model: ModelSpec, wave: StokesWave, rho: float, xi: float,
     import scipy.sparse
     import scipy.sparse.linalg as spla
 
-    if count > 20:
-        raise ValidationError("count is limited to 20")
+    if not 1 <= count <= 20:
+        raise ValidationError(f"count must be between 1 and 20, got {count}")
     op = assemble_operator(model, wave, rho, xi, N)
     dim = op.dim
     if count >= dim - 1:

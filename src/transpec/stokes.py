@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmplitudeValidityWarning, DomainError, ResonanceError, ValidationError
+from .errors import AmplitudeValidityWarning, DomainError, ResonanceError
 from .symbols import ModelSpec, _omega_at_zero_rho, _sign_changes
 
 #: Half-distance in k below which a wavenumber counts as resonant.
@@ -63,27 +63,6 @@ def _eta2(model: ModelSpec, k):
     return 2 * model.alpha1 * k**2 / (-4 * _resonance_mismatch(model, k, 2))
 
 
-def resonant_wavenumbers(model: ModelSpec, k_range=(1e-3, 1e3), n_max: int = 8):
-    """All resonant wavenumbers in ``k_range`` for harmonics 2..n_max.
-
-    Returns a list of (k, n) pairs sorted by k.  Each root is polished so the
-    mismatch residual is below 1e-10.  Models whose effective symbol decreases
-    have no resonances and yield an empty list.
-    """
-    lo, hi = k_range
-    if not (0 < lo < hi):
-        raise ValidationError(f"k_range must satisfy 0 < lo < hi, got {k_range}")
-    if n_max < 2:
-        raise ValidationError("n_max must be at least 2")
-    grid = np.geomspace(lo, hi, 513)
-    ns = range(2, n_max + 1)
-    found = []
-    for n, vals in zip(ns, _resonance_mismatch(model, grid, np.array(ns)[:, None])):
-        roots = _sign_changes(lambda k, n=n: _resonance_mismatch(model, k, n), grid, vals, 1e-14)
-        found += [(float(k), n) for k in roots]
-    return sorted(found)
-
-
 def check_resonance(model: ModelSpec, k: float) -> None:
     """Raise ResonanceError when k is within ``RESONANCE_TOL`` of a resonant wavenumber."""
     if not (np.isfinite(k) and k > 0):
@@ -118,7 +97,7 @@ def build_wave(model: ModelSpec, k: float, eps: float = 0.01,
     wave = StokesWave(model, float(k), float(eps), eta2, eta3,
                       phase_speed_c0(model, k), c2)
     if check and eps != 0.0:
-        res = residual_norm(model, wave, N=32)
+        res = residual_norm(model, wave)
         norm = abs(eps) / np.sqrt(2.0)
         if res > 1e-6 * norm:
             warnings.warn(
@@ -150,28 +129,22 @@ def profile_coefficients(wave: StokesWave) -> np.ndarray:
     return coeff
 
 
-def residual_norm(model: ModelSpec, wave: StokesWave, N: int = 64) -> float:
+def residual_norm(model: ModelSpec, wave: StokesWave) -> float:
     """L2 norm of the traveling-wave equation applied to the truncated wave.
 
     Evaluates k^2(-c eta'' + J_k eta'' + a1 (eta^2)'' + a2 (eta^3)'') - gamma eta
-    on Fourier modes |j| <= N and returns the norm of the coefficient vector.
-    Decays as O(eps^4) for fixed admissible k.
+    on the Fourier modes |j| <= 9, outside which every term vanishes, and
+    returns the norm of the coefficient vector.  Decays as O(eps^4) for fixed
+    admissible k.
     """
-    if N < 16:
-        raise ValidationError("residual needs N >= 16 modes")
     check_resonance(model, wave.k)
     eta_hat = profile_coefficients(wave)          # j = -3..3
     sq_hat = np.convolve(eta_hat, eta_hat)        # j = -6..6
     cu_hat = np.convolve(sq_hat, eta_hat)         # j = -9..9
     k, g = wave.k, model.gamma
     c = wave.speed
-    js = np.arange(-N, N + 1)
-    eh = np.zeros(js.size)
-    eh[(js >= -3) & (js <= 3)] = eta_hat
-    sh = np.zeros(js.size)
-    sh[(js >= -6) & (js <= 6)] = sq_hat
-    ch = np.zeros(js.size)
-    ch[(js >= -9) & (js <= 9)] = cu_hat
+    js = np.arange(-9, 10)
+    eh, sh = np.pad(eta_hat, 6), np.pad(sq_hat, 3)
     jeff = model.j_eff(k * js.astype(float))
-    F = k**2 * js**2 * (c * eh - jeff * eh - model.alpha1 * sh - model.alpha2 * ch) - g * eh
+    F = k**2 * js**2 * (c * eh - jeff * eh - model.alpha1 * sh - model.alpha2 * cu_hat) - g * eh
     return float(np.sqrt(np.sum(np.abs(F) ** 2)))

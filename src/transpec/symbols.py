@@ -88,28 +88,8 @@ class DispersionSymbol:
         return out if out.ndim else float(out)
 
 
-def kdv() -> DispersionSymbol:
-    return DispersionSymbol("kdv")
-
-
-def bo() -> DispersionSymbol:
-    return DispersionSymbol("bo")
-
-
 def fkdv(alpha: float) -> DispersionSymbol:
     return DispersionSymbol("fkdv", alpha=alpha)
-
-
-def whitham() -> DispersionSymbol:
-    return DispersionSymbol("whitham")
-
-
-def ilw() -> DispersionSymbol:
-    return DispersionSymbol("ilw")
-
-
-def reduced() -> DispersionSymbol:
-    return DispersionSymbol("reduced")
 
 
 def custom(fn: Callable) -> DispersionSymbol:
@@ -227,14 +207,14 @@ def _sign_changes(f, grid, values, xtol: float, signs=None) -> np.ndarray:
 
 # id -> (symbol, alpha1, alpha2); rm-fkdv-kp's symbol fkdv(alpha) is built per call.
 _MODELS = {
-    "rmkp": (kdv(), 1, 0),
-    "rmbo-kp": (bo(), 1, 0),
+    "rmkp": (DispersionSymbol("kdv"), 1, 0),
+    "rmbo-kp": (DispersionSymbol("bo"), 1, 0),
     "rm-fkdv-kp": (None, 1, 0),
     "rmg-kp": (fkdv(2.0), 1, -1),
     "rm-mkdv-kp": (fkdv(2.0), 0, -1),
-    "rm-whitham-kp": (whitham(), 1, 0),
-    "rmilw-kp": (ilw(), 1, 0),
-    "reduced-rmkp": (reduced(), 1, 0),
+    "rm-whitham-kp": (DispersionSymbol("whitham"), 1, 0),
+    "rmilw-kp": (DispersionSymbol("ilw"), 1, 0),
+    "reduced-rmkp": (DispersionSymbol("reduced"), 1, 0),
 }
 
 MODEL_IDS = tuple(_MODELS)

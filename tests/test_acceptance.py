@@ -230,7 +230,7 @@ def test_criterion_9_property_suites(rmkp):
     # wave residual decays at least quartically
     from transpec import residual_norm
     eps_grid = np.geomspace(1e-3, 1e-2, 6)
-    res = [residual_norm(rmkp, build_wave(rmkp, 0.6, float(e), check=False), N=64)
+    res = [residual_norm(rmkp, build_wave(rmkp, 0.6, float(e), check=False))
            for e in eps_grid]
     slope = float(np.polyfit(np.log(eps_grid), np.log(res), 1)[0])
     if slope < 3.9:

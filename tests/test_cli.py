@@ -155,6 +155,21 @@ def test_bad_subcommand_exits_2(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    "sweep --rho-grid 1:2 --xi-grid 0.5 --out-dir {d}",
+    "sweep --rho-grid abc --xi-grid 0.5 --out-dir {d}",
+    "sweep --rho-grid 1,,2 --xi-grid 0.5 --out-dir {d}",
+    "sweep --rho-grid 1:2:-1 --xi-grid 0.5 --out-dir {d}",
+    "wave --csv {d}/w.csv --samples -1",
+    "wave --N 32",
+    "spectrum --rho 1.5 --xi 0.5 --shift 0,0.38 --count 0",
+])
+def test_malformed_input_exits_2(argv, tmp_path, capsys):
+    code, _, err = run_cli(capsys, *argv.format(d=tmp_path).split())
+    assert code == 2
+    assert "error:" in err
+
+
 def test_unwritable_path_exits_2(capsys):
     code, _, err = run_cli(capsys, "wave", "--model", "rmkp", "--k", "1",
                            "--csv", "/nonexistent-dir/x.csv",

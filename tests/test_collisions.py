@@ -347,3 +347,16 @@ def test_origin_collision_patterns():
     assert not is_origin_collision(-1, 2, 0.25)
     assert not is_origin_collision(-2, 4, 0.5)
     assert is_origin_collision(-2, 4, 0.0)
+
+
+@pytest.mark.parametrize("mid, gamma, k, j", [("rmkp", 0.1, 0.3, 51), ("rmbo-kp", 3.0, 1.3, 2)])
+def test_enumerate_nonperiodic_picks_the_largest_colliding_xi(mid, gamma, k, j):
+    # xi is scanned downward from 1/2 in steps of 1/128; the first collision wins
+    m = make_model(mid, gamma=gamma, beta=1.0)
+    records = enumerate_potentially_unstable(m, 3, "nonperiodic", k=k)
+    rec = [r for r in records if (r.n, r.m) == (-1, 2)]
+    assert len(rec) == 1 and rec[0].xi == j / 128
+    floor = -1e-12 * gamma
+    assert collision_rho_squared(m, -1, 2, j / 128, k) >= floor
+    for above in range(j + 1, 65):
+        assert collision_rho_squared(m, -1, 2, above / 128, k) < floor

@@ -1,0 +1,26 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import transpec
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize("script, args, csv, header", [
+    ("bubble_hunt.py", ["--N", "24"], "spectrum.csv", "re,im"),
+    ("band_profile.py", ["--N", "16", "--points", "5"], "band.csv", "rho_sq,max_growth"),
+])
+def test_script_runs_and_writes_its_csv(script, args, csv, header, tmp_path):
+    # a fresh interpreter, as the scripts are run from the command line
+    env = dict(os.environ, PYTHONPATH=str(Path(transpec.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, str(SCRIPTS / script), *args,
+                           "--out-dir", str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = (tmp_path / csv).read_text().splitlines()
+    assert lines[0] == header
+    assert len(lines) > 1

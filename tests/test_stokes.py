@@ -13,11 +13,10 @@ from transpec import (
     make_model,
     phase_speed_c0,
     residual_norm,
-    resonant_wavenumbers,
     stokes_coefficients,
     wave_profile,
 )
-from transpec.stokes import StokesWave
+from transpec.stokes import StokesWave, _resonance_mismatch, check_resonance
 
 RNG = np.random.default_rng(20240817)
 
@@ -33,44 +32,47 @@ def test_phase_speed_examples():
         phase_speed_c0(m, 0.0)
 
 
-def test_resonances_rmkp():
-    m = make_model("rmkp", gamma=1.0, beta=1.0)
-    found = resonant_wavenumbers(m, (0.2, 1.0), n_max=3)
-    ks = {n: k for k, n in found}
-    assert ks[2] == pytest.approx(0.25**0.25, abs=1e-10)
-    assert ks[3] == pytest.approx((1 / 9) ** 0.25, abs=1e-10)
-    # confirm the n=2 root by plain bisection on the mismatch
-    def mismatch(k):
-        return k**2 * (m.j_eff(2 * k) - m.j_eff(k)) - m.gamma * 3 / 4
-    a, b = 0.5, 0.9
+def _resonance_near(m, k):
+    """The ResonanceError that check_resonance raises at k."""
+    with pytest.raises(ResonanceError) as err:
+        check_resonance(m, k)
+    return err.value
+
+
+def _bisect(f, a, b):
     for _ in range(80):
         mid = 0.5 * (a + b)
-        if (mismatch(mid) < 0) == (mismatch(a) < 0):
+        if (f(mid) < 0) == (f(a) < 0):
             a = mid
         else:
             b = mid
-    assert ks[2] == pytest.approx(0.5 * (a + b), abs=1e-10)
+    return 0.5 * (a + b)
 
 
 def test_resonances_match_closed_forms():
     # k^4 (n^2 - 1) = (n^2 - 1)/n^2 for kappa^2, k^3 (n - 1) = (n^2 - 1)/n^2 for |kappa|
     closed = {"rmkp": lambda n: n**-0.5, "rmbo-kp": lambda n: ((n + 1) / n**2) ** (1 / 3)}
     for mid, root in closed.items():
-        found = resonant_wavenumbers(make_model(mid, gamma=1.0, beta=1.0), (0.2, 5.0))
-        assert [n for _, n in found] == list(range(8, 1, -1))
-        for k, n in found:
-            assert k == pytest.approx(root(n), rel=1e-12)
+        m = make_model(mid, gamma=1.0, beta=1.0)
+        for n in range(2, 17):
+            for side in (1 - 3e-7, 1 + 3e-7):
+                err = _resonance_near(m, root(n) * side)
+                assert err.n == n
+                assert err.k_resonant == pytest.approx(root(n), rel=1e-12)
 
 
 def test_resonance_residuals_small():
     m = make_model("rmilw-kp", gamma=1.0, beta=1.0)
-    for k, n in resonant_wavenumbers(m, (0.2, 5.0), n_max=5):
+    for n in range(2, 6):
+        root = _bisect(lambda k: _resonance_mismatch(m, k, n), 0.2, 5.0)
+        k = _resonance_near(m, root * (1 + 3e-7)).k_resonant
         assert abs(k**2 * (m.j_eff(k * n) - m.j_eff(k)) - m.gamma * (n**2 - 1) / n**2) < 1e-10
 
 
 def test_no_resonances_for_decreasing_symbol():
-    assert resonant_wavenumbers(make_model("rm-whitham-kp", beta=1.0), (0.01, 10.0)) == []
-    assert resonant_wavenumbers(make_model("rmkp", beta=-1.0), (0.01, 10.0)) == []
+    for m in (make_model("rm-whitham-kp", beta=1.0), make_model("rmkp", beta=-1.0)):
+        for k in np.geomspace(0.01, 10.0, 513):
+            check_resonance(m, k)
 
 
 def test_coefficients_examples():
@@ -156,7 +158,7 @@ def test_profile_zero_mean():
 
 def test_residual_zero_amplitude():
     m = make_model("rmkp", gamma=1.0, beta=1.0)
-    assert residual_norm(m, build_wave(m, 1.0, 0.0, check=False), N=32) == 0.0
+    assert residual_norm(m, build_wave(m, 1.0, 0.0, check=False)) == 0.0
 
 
 @pytest.mark.parametrize("mid", ["rmkp", "rmbo-kp", "rmg-kp", "rm-mkdv-kp",
@@ -164,7 +166,7 @@ def test_residual_zero_amplitude():
 def test_residual_quartic_decay(mid):
     m = make_model(mid, gamma=1.0, beta=1.0)
     eps = np.geomspace(1e-3, 1e-2, 6)
-    res = [residual_norm(m, build_wave(m, 0.6, e, check=False), N=64) for e in eps]
+    res = [residual_norm(m, build_wave(m, 0.6, e, check=False)) for e in eps]
     slope = np.polyfit(np.log(eps), np.log(res), 1)[0]
     assert slope >= 3.8
     if m.alpha1 == 1:
@@ -179,7 +181,7 @@ def test_residual_ablation_drops_an_order():
     for e in eps:
         full = build_wave(m, 0.6, e, check=False)
         broken = StokesWave(m, full.k, full.eps, full.eta2, 0.0, full.c0, full.c2)
-        res.append(residual_norm(m, broken, N=64))
+        res.append(residual_norm(m, broken))
     slope = np.polyfit(np.log(eps), np.log(res), 1)[0]
     assert slope < 3.5
 

@@ -11,7 +11,6 @@ from transpec import (
     ValidationError,
     classify,
     make_model,
-    resonant_wavenumbers,
 )
 from transpec.collisions import _positive_windows
 from transpec.reduced import _lw_margin_raw, _max_band_rho_sq
@@ -22,7 +21,6 @@ from transpec.symbols import (
     ModelSpec,
     _sign_changes,
     fkdv,
-    kdv,
 )
 
 BUILTIN_IDS = ["rmkp", "rmbo-kp", "rmg-kp", "rm-whitham-kp", "rmilw-kp", "reduced-rmkp"]
@@ -73,11 +71,11 @@ def test_evenness_property(kappa):
 
 def test_model_validation():
     with pytest.raises(ValidationError):
-        ModelSpec(kdv(), 1.0, 1, 0, gamma=0.0)
+        ModelSpec(DispersionSymbol("kdv"), 1.0, 1, 0, gamma=0.0)
     with pytest.raises(ValidationError):
-        ModelSpec(kdv(), 1.0, 2, 0, gamma=1.0)
+        ModelSpec(DispersionSymbol("kdv"), 1.0, 2, 0, gamma=1.0)
     with pytest.raises(ValidationError):
-        ModelSpec(kdv(), 1.0, 1, 1, gamma=1.0)
+        ModelSpec(DispersionSymbol("kdv"), 1.0, 1, 1, gamma=1.0)
     with pytest.raises(ValidationError):
         fkdv(0.4)
     with pytest.raises(ValidationError):
@@ -165,8 +163,11 @@ def test_sign_changes_match_brentq_on_resonances_and_onsets(mid, beta):
         assert abs(x - ref) <= xtol + 4 * eps * abs(ref)
 
     grid = np.geomspace(1e-3, 1e3, 513)
-    for k, n in resonant_wavenumbers(m):
-        check(k, lambda kk, n=n: _resonance_mismatch(m, kk, n), grid, 1e-14)
+    for n in range(2, 9):
+        def mismatch(kk, n=n):
+            return _resonance_mismatch(m, kk, n)
+        for k in _sign_changes(mismatch, grid, mismatch(grid), 1e-14):
+            check(k, mismatch, grid, 1e-14)
     thresholds = classify(m, 1.0).thresholds
     for key, k in thresholds.items():
         if key.startswith("k_lw"):
