@@ -5,6 +5,9 @@ In the Fourier basis it is diagonal at zero amplitude (entries
 ``i Omega(n, rho, xi)``) plus a banded perturbation from the three-harmonic
 wave profile.  At xi = 0 the zero mode is removed, which realizes the
 mean-zero restriction exactly.
+
+Every entry is i times a real number, so the operator is stored as its real
+generator R, A = iR, and the dense path solves R in real arithmetic.
 """
 
 from __future__ import annotations
@@ -22,18 +25,25 @@ from .symbols import ModelSpec, _omega_at_zero_rho
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense truncation of the linearized operator on modes |n| <= N."""
+    """Dense truncation of the linearized operator on modes |n| <= N.
+
+    ``generator`` is the real matrix R of the operator A = iR; ``matrix`` is A.
+    """
 
     N: int
     modes: np.ndarray
-    matrix: np.ndarray
+    generator: np.ndarray
     wave: StokesWave
     rho: float
     xi: float
 
     @property
+    def matrix(self) -> np.ndarray:
+        return 1j * self.generator
+
+    @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.generator.shape[0]
 
 
 @dataclass(frozen=True)
@@ -81,16 +91,15 @@ class Bubble:
 
 def assemble_operator(model: ModelSpec, wave: StokesWave, rho: float, xi: float,
                       N: int = 64) -> OperatorMatrix:
-    """Build the dense truncated operator at (rho, xi).
+    """Build the dense truncated operator at (rho, xi) as its real generator.
 
-    The diagonal is ``i Omega(n, rho, xi)`` plus the speed correction
-    ``i p k^2 (c(eps) - c0)``, ``p = n + xi``.  Off-diagonals come from the
-    Fourier coefficients of ``-2 alpha1 eta - 3 alpha2 eta^2``, so the
-    bandwidth is 3 (or 6 with a cubic term).  At xi = 0 the zero mode is
+    The diagonal of R is ``Omega(n, rho, xi)`` plus the speed correction
+    ``p k^2 (c(eps) - c0)``, ``p = n + xi``.  Off-diagonals are ``p k^2``
+    times the Fourier coefficients of ``-2 alpha1 eta - 3 alpha2 eta^2``, so
+    the bandwidth is 3 (or 6 with a cubic term).  At xi = 0 the zero mode is
     excluded.
     """
-    if N < 8:
-        raise ValidationError("need N >= 8 modes")
+    _check_modes(N)
     if not (-0.5 < xi <= 0.5):
         raise DomainError(f"Floquet exponent must lie in (-1/2, 1/2], got {xi}")
     ns = np.arange(-N, N + 1)
@@ -105,15 +114,23 @@ def assemble_operator(model: ModelSpec, wave: StokesWave, rho: float, xi: float,
     g_hat[3:10] += -2.0 * model.alpha1 * eta_hat
     g_hat += -3.0 * model.alpha2 * sq_hat
 
+    R = np.zeros((ns.size, ns.size))
+    # one diagonal per index offset d = row - column; the mode offset is at
+    # least |d| (more across the zero-mode gap), so |d| <= 6 holds every entry
+    for d in range(-6, 7):
+        rows = np.arange(max(d, 0), ns.size + min(d, 0))
+        offsets = ns[rows] - ns[rows - d]
+        keep = np.abs(offsets) <= 6
+        rows, offsets = rows[keep], offsets[keep]
+        R[rows, rows - d] = p[rows] * k**2 * g_hat[offsets + 6]
     speed_shift = p * k**2 * (wave.speed - wave.c0)
-    diag = 1j * (_omega_at_zero_rho(model, p, k) - rho**2 / p + speed_shift)
+    R[np.diag_indices_from(R)] += _omega_at_zero_rho(model, p, k) - rho**2 / p + speed_shift
+    return OperatorMatrix(N=N, modes=ns, generator=R, wave=wave, rho=float(rho), xi=float(xi))
 
-    offsets = np.subtract.outer(ns, ns)            # row - column
-    rows, cols = np.nonzero(np.abs(offsets) <= 6)
-    A = np.zeros((ns.size, ns.size), dtype=complex)
-    A[rows, cols] = 1j * p[rows] * k**2 * g_hat[offsets[rows, cols] + 6]
-    A[np.diag_indices_from(A)] += diag
-    return OperatorMatrix(N=N, modes=ns, matrix=A, wave=wave, rho=float(rho), xi=float(xi))
+
+def _check_modes(N: int) -> None:
+    if N < 8:
+        raise ValidationError("need N >= 8 modes")
 
 
 def _rounding_floor(ev: np.ndarray) -> float:
@@ -129,13 +146,15 @@ def _sorted_eigs(ev: np.ndarray) -> np.ndarray:
 def eig_dense(op: OperatorMatrix) -> SpectrumResult:
     """All eigenvalues of the truncated operator via a dense solver.
 
-    Eigenvectors are not computed; the eigenvalues come back sorted by
-    imaginary part, then real part.
+    The real generator R is solved in real arithmetic and its eigenvalues are
+    multiplied by i, so the spectrum is closed under lambda -> -conj(lambda)
+    to the last bit.  Eigenvectors are not computed; the eigenvalues come back
+    sorted by imaginary part, then real part.
     """
     if op.dim > 4096:
         raise ValidationError("dense path is limited to dimension 4096")
     try:
-        ev = np.linalg.eigvals(op.matrix)
+        ev = 1j * np.linalg.eigvals(op.generator)
     except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
         raise NumericalError(
             f"dense eigensolver failed at rho={op.rho}, xi={op.xi}, N={op.N}: {exc}"
@@ -172,9 +191,10 @@ def shift_invert_eigs(model: ModelSpec, wave: StokesWave, rho: float, xi: float,
     # spectrum clusters when the shift is far from every eigenvalue)
     ncv = min(dim, max(4 * count + 5, 30))
     try:
-        ev = spla.eigs(scipy.sparse.csc_array(op.matrix), k=count, sigma=shift,
+        # a fixed start vector makes the result the same on every run
+        ev = spla.eigs(1j * scipy.sparse.csc_array(op.generator), k=count, sigma=shift,
                        which="LM", ncv=ncv, maxiter=200 * dim, tol=0,
-                       return_eigenvectors=False)
+                       v0=np.ones(dim, dtype=complex), return_eigenvectors=False)
     except Exception as exc:
         raise NumericalError(
             f"shift-invert Arnoldi iteration failed at shift={shift}: {exc}"
@@ -211,6 +231,7 @@ def sweep(model: ModelSpec, k: float, eps: float, rho_grid: Sequence[float],
     xi_grid = [float(x) for x in xi_grid]
     if not rho_grid or not xi_grid:
         raise ValidationError("sweep grids must be non-empty")
+    _check_modes(N)
     wave = build_wave(model, k, eps, check=False)
 
     def run(rho, xi):

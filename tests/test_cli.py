@@ -163,6 +163,7 @@ def test_bad_subcommand_exits_2(capsys):
     "wave --csv {d}/w.csv --samples -1",
     "wave --N 32",
     "spectrum --rho 1.5 --xi 0.5 --shift 0,0.38 --count 0",
+    "sweep --rho-grid 1 --xi-grid 0.5 --N -3 --out-dir {d}",
 ])
 def test_malformed_input_exits_2(argv, tmp_path, capsys):
     code, _, err = run_cli(capsys, *argv.format(d=tmp_path).split())

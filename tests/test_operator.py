@@ -19,6 +19,7 @@ from transpec import (
     theta1_band,
     wave_profile,
 )
+from transpec.stokes import profile_coefficients
 
 
 RNG = np.random.default_rng(424205)
@@ -82,6 +83,39 @@ def test_perturbation_bandwidth():
     assert presentg == {d for d in range(-6, 7) if d != 0}
 
 
+def _outer_reference(m, wave, rho, xi, N):
+    """The real generator from the dense table of mode offsets n_i - n_j."""
+    ns = np.arange(-N, N + 1)
+    if xi == 0.0:
+        ns = ns[ns != 0]
+    p = ns + xi
+    k = wave.k
+    eta_hat = profile_coefficients(wave)
+    g_hat = np.zeros(13)
+    g_hat[3:10] += -2.0 * m.alpha1 * eta_hat
+    g_hat += -3.0 * m.alpha2 * np.convolve(eta_hat, eta_hat)
+    offsets = np.subtract.outer(ns, ns)
+    R = np.where(np.abs(offsets) <= 6,
+                 p[:, None] * k**2 * g_hat[np.clip(offsets, -6, 6) + 6], 0.0)
+    diag = np.array([omega(m, int(n), rho, xi, k) for n in ns])
+    R[np.diag_indices_from(R)] += diag + p * k**2 * (wave.speed - wave.c0)
+    return ns, R
+
+
+@pytest.mark.parametrize("mid", ["rmkp", "rmg-kp"])
+@pytest.mark.parametrize("xi", [0.0, 0.25, 0.5])
+@pytest.mark.parametrize("N", [8, 64])
+def test_generator_matches_the_offset_table(mid, xi, N):
+    m = make_model(mid, gamma=1.0, beta=1.0)
+    wave = build_wave(m, 1.3, 0.05, check=False)
+    op = assemble_operator(m, wave, 0.9, xi, N)
+    ns, R = _outer_reference(m, wave, 0.9, xi, N)
+    assert op.generator.dtype == np.float64
+    assert np.array_equal(op.modes, ns)
+    assert np.array_equal(op.generator, R)
+    assert np.array_equal(op.matrix, 1j * op.generator)
+
+
 @pytest.mark.parametrize("mid,xi", [("rmkp", 0.3), ("rmg-kp", 0.3), ("rmkp", 0.0),
                                     ("rmilw-kp", 0.21)])
 def test_columns_match_pseudospectral_application(mid, xi):
@@ -138,6 +172,16 @@ def test_minus_xi_spectrum_is_conjugate():
     assert d < 1e-8 * scale
     d2 = np.max(np.abs(_sorted(ev_neg) - _sorted(-ev_pos)))
     assert d2 < 1e-8 * scale
+
+
+@pytest.mark.parametrize("mid", ["rmkp", "rmg-kp"])
+@pytest.mark.parametrize("xi", [0.0, 0.37, 0.5])
+def test_dense_spectrum_is_exactly_closed_under_reflection(mid, xi):
+    # the real generator has exact conjugate pairs, so lambda -> -conj(lambda)
+    # maps the dense spectrum onto itself to the last bit
+    m = make_model(mid, gamma=1.0, beta=1.0)
+    ev = spectrum_at(m, 2.0, 0.05, 1.5, xi, N=64).eigenvalues
+    assert np.array_equal(_sorted(-np.conj(ev)), _sorted(ev))
 
 
 def test_truncation_refinement():
@@ -274,6 +318,14 @@ def test_shift_invert_diagonal_case():
     w1 = omega(m, 1, 0.5, 0.1, 1.0)
     si = shift_invert_eigs(m, wave, 0.5, 0.1, 12, shift=1j * w1 + 1e-3, count=1)
     assert abs(si.eigenvalues[0] - 1j * w1) < 1e-10
+
+
+def test_shift_invert_is_reproducible():
+    m = make_model("rmkp", gamma=1.0, beta=1.0)
+    wave = build_wave(m, 2.0, 0.05, check=False)
+    first, second = (shift_invert_eigs(m, wave, 1.5, 0.5, 24, shift=0.38j, count=4)
+                     for _ in range(2))
+    assert np.array_equal(first.eigenvalues, second.eigenvalues)
 
 
 def test_sweep_matches_single_point_and_is_ordered():
