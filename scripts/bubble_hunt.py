@@ -32,6 +32,8 @@ def solve_xi(model, k, target, lo=0.40, hi=0.49999):
     flo = f(lo)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # fixed point: the bracket cannot shrink further
+            break
         fm = f(mid)
         if (fm < 0) == (flo < 0):
             lo, flo = mid, fm

@@ -22,7 +22,7 @@ from .symbols import ModelSpec, _omega_at_zero_rho, _sign_changes
 _ZERO_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CollisionRecord:
     """One frequency collision of the modes n and m = n + theta at (k, xi)."""
 

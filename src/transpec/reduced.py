@@ -21,11 +21,12 @@ from .errors import DomainError
 from .stokes import _eta2, _resonance_mismatch, check_resonance
 from .symbols import ModelSpec, _sign_changes, make_model
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: Golden-section fraction and sqrt(eps) of Brent's minimiser, as scipy writes them.
+_CGOLD = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
 
-#: Floquet exponents of the band-peak scan.  Its two-cell polish bracket is
-#: (0, 1/2] shrunk by six golden steps (2/36 ~ 0.618^6), so the polish ends at
-#: the resolution of one golden search over the whole interval.
+#: Floquet exponents of the band-peak scan; the polish brackets two of its
+#: 36 cells around the best point.
 _XI_SCAN = np.linspace(1e-4, 0.5, 37)
 
 #: Column keys of the stability atlas, in presentation order.
@@ -48,7 +49,7 @@ ATLAS_MODELS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     """A stability decision with the analysis tag and thresholds behind it."""
 
@@ -101,25 +102,60 @@ def _channel_verdict(model: ModelSpec, unstable, thresholds: Dict[str, float], k
 
 
 def golden_max(f, lo, hi):
-    """Golden-section maximizer of a unimodal function on [lo, hi], to 1e-8 in x.
+    """Maximizer of ``f`` on [lo, hi] by Brent's method, to an x-tolerance of 1e-8.
 
-    ``lo`` and ``hi`` may be arrays of brackets of one width; ``f`` then takes
-    an array of points and every bracket is narrowed in the same steps.
+    Brent's bounded minimiser (R. P. Brent, *Algorithms for Minimization
+    without Derivatives*, 1973) of -f, with the step rules and the tolerance
+    of scipy's ``fminbound`` at ``xatol=1e-8``: a parabola through the three
+    best points, or a golden-section step where it is not acceptable.  ``lo`` and ``hi`` may be
+    arrays of brackets; ``f`` then takes an array of points, every bracket
+    advances in one call per step, and a converged bracket stops moving.
+    Returns the best point found and its value.
     """
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while np.max(b - a) > 1e-8:
-        left = fc > fd  # the peak lies in [a, d], whose upper inner point is c
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
-        new = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
-        f_new = f(new)
-        c, fc = np.where(left, new, kept), np.where(left, f_new, f_kept)
-        d, fd = np.where(left, kept, new), np.where(left, f_kept, f_new)
-    x = 0.5 * (a + b)
-    return x, f(x)
+    a, b = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    x = w = v = a + _CGOLD * (b - a)
+    fx = fw = fv = -np.asarray(f(x), dtype=float)
+    d = e = np.zeros_like(x)
+    while True:
+        mid = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * np.abs(x) + 1e-8 / 3.0
+        tol2 = 2.0 * tol1
+        live = np.abs(x - mid) > tol2 - 0.5 * (b - a)
+        if not live.any():
+            return x[()], -fx[()]
+        # the parabola through x, w and v is taken when its vertex lies inside
+        # the bracket and moves less than half the step before last
+        r = (x - w) * (fx - fv)
+        q = (x - v) * (fx - fw)
+        p = (x - v) * q - (x - w) * r
+        q = 2.0 * (q - r)
+        p, q = np.where(q > 0, -p, p), np.abs(q)
+        parab = ((np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e))
+                 & (p > q * (a - x)) & (p < q * (b - x)))
+        step = p / np.where(parab, q, 1.0)
+        near = (x + step - a < tol2) | (b - (x + step) < tol2)
+        step = np.where(near, np.where(mid < x, -tol1, tol1), step)
+        gold = np.where(x >= mid, a, b) - x
+        e, d = np.where(parab, d, gold), np.where(parab, step, _CGOLD * gold)
+        size = np.maximum(np.abs(d), tol1)
+        u = np.where(live, np.where(d < 0, x - size, x + size), x)
+        fu = -np.asarray(f(u), dtype=float)
+
+        # u becomes the best point x, or the bracket end on its side of x,
+        # and takes its rank among the three best points x, w and v
+        better = live & (fu <= fx)
+        worse = live ^ better
+        end, right = np.where(better, x, u), u >= x
+        a = np.where(live & (better == right), end, a)
+        b = np.where(live & (better != right), end, b)
+        second = worse & ((fu <= fw) | (w == x))
+        third = worse & ~second & ((fu <= fv) | (v == x) | (v == w))
+        shift = better | second
+        v, fv = (np.where(shift, w, np.where(third, u, v)),
+                 np.where(shift, fw, np.where(third, fu, fv)))
+        w, fw = (np.where(better, x, np.where(second, u, w)),
+                 np.where(better, fx, np.where(second, fu, fw)))
+        x, fx = np.where(better, u, x), np.where(better, fu, fx)
 
 
 # --- long-wavelength channel ------------------------------------------------
@@ -186,14 +222,29 @@ def _max_band_rho_sq(model: ModelSpec, k):
     """Maximize rho_c^2 over xi in (0, 1/2] at each k; returns (xi_star, value).
 
     The best point of a scan over ``_XI_SCAN`` picks the peak, so several
-    local maxima in xi do not mislead it; a golden-section polish on the two
-    scan cells around that point finishes.  Broadcasts over an array of k.
+    local maxima in xi do not mislead it; Brent's method on the two scan
+    cells around that point finishes.  rho_c^2 is even about xi = 1/2 when j
+    is even (J1), so a peak next to the xi = 1/2 end is polished on the
+    bracket reflected across it, where it is interior, and folded back.
+    Where the polish falls short of the scan's best point, that point is
+    returned.  Broadcasts over an array of k.
     """
     k = np.asarray(k, dtype=float)
     scan = collision_rho_squared(model, -1, 0, _XI_SCAN, k[..., None])
-    best = np.clip(np.argmax(scan, axis=-1), 1, _XI_SCAN.size - 2)
-    return golden_max(lambda xi: collision_rho_squared(model, -1, 0, xi, k),
-                      _XI_SCAN[best - 1], _XI_SCAN[best + 1])
+    top = np.argmax(scan, axis=-1)
+    best = np.clip(top, 1, _XI_SCAN.size - 2)
+    lo = _XI_SCAN[best - 1]
+    hi = np.where(best == _XI_SCAN.size - 2, 1.0 - lo, _XI_SCAN[best + 1])
+    # a best scan point at the xi = 1e-4 end that falls away to its right is
+    # the peak; its bracket shrinks to that point instead of creeping to it
+    if (top == 0).any():
+        rise = collision_rho_squared(model, -1, 0, _XI_SCAN[0] + 1e-8, k) >= scan[..., 0]
+        hi = np.where((top == 0) & ~rise, lo, hi)
+    xi, peak = golden_max(lambda x: collision_rho_squared(model, -1, 0, x, k), lo, hi)
+    scan_max = scan.max(axis=-1)
+    short = peak < scan_max
+    return (np.where(short, _XI_SCAN[top], np.minimum(xi, 1.0 - xi))[()],
+            np.where(short, scan_max, peak)[()])
 
 
 def theta1_verdict(model: ModelSpec, k: float) -> Verdict:

@@ -15,8 +15,9 @@ from transpec import (
     theta1_band,
     theta1_verdict,
 )
+from transpec import reduced
 from transpec.collisions import collision_rho_squared
-from transpec.reduced import _GOLDEN, _lw_margin_raw, _max_band_rho_sq, golden_max
+from transpec.reduced import _XI_SCAN, _lw_margin_raw, _max_band_rho_sq, golden_max
 from transpec.symbols import MODEL_IDS, custom
 
 
@@ -219,32 +220,44 @@ def test_golden_max_finds_quadratic_peak():
     assert val == pytest.approx(0.0, abs=1e-10)
 
 
-def _golden_loop(f, lo, hi, tol=1e-8):
-    """Scalar golden-section search, the reference for golden_max."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 PEAKS = [lambda t: -(t - 0.3) ** 2, lambda t: np.sin(9.0 * t), lambda t: t * np.exp(-4.0 * t)]
+BRACKETS = [(1e-4, 0.5), (0.1, 0.2), (0.4, 0.5)]
 
 
-def test_golden_max_scalar_call_equals_the_loop():
+def test_golden_max_scalar_call_matches_scipy_bounded():
+    from scipy.optimize import minimize_scalar
     for f in PEAKS:
-        for lo, hi in [(1e-4, 0.5), (0.1, 0.2), (0.4, 0.5)]:
-            assert golden_max(f, lo, hi) == _golden_loop(f, lo, hi)
+        for lo, hi in BRACKETS:
+            x, v = golden_max(f, lo, hi)
+            ref = minimize_scalar(lambda t: -f(t), bounds=(lo, hi), method="bounded",
+                                  options={"xatol": 1e-8})
+            assert abs(x - ref.x) <= 1e-8
+            assert v >= -ref.fun - 1e-15 * max(1.0, abs(ref.fun))
+
+
+def _polish_calls(f, lo, hi):
+    calls = []
+    golden_max(lambda t: calls.append(t) or f(t), lo, hi)
+    return len(calls)
+
+
+def test_golden_max_takes_parabolic_steps_on_smooth_peaks(monkeypatch):
+    # peaks inside their bracket; the golden-section search took about 34 calls
+    for f in PEAKS:
+        for lo, hi in BRACKETS:
+            x, _ = golden_max(f, lo, hi)
+            if lo + 1e-6 < x < hi - 1e-6:
+                assert _polish_calls(f, lo, hi) <= 15
+    # the rmkp band peaks at the xi = 1/2 end, reflected into the interior
+    seen = []
+
+    def counted(f, lo, hi):
+        seen.append(_polish_calls(f, lo, hi))
+        return golden_max(f, lo, hi)
+
+    monkeypatch.setattr(reduced, "golden_max", counted)
+    _max_band_rho_sq(make_model("rmkp"), 2.0)
+    assert len(seen) == 1 and seen[0] <= 12
 
 
 def test_golden_max_array_brackets_match_scalar_calls():
@@ -280,6 +293,49 @@ def test_band_peak_finds_the_higher_of_two_peaks():
     assert dense > 0.85
     assert v.outcome == "unstable"
     assert abs(v.thresholds["rho_c_sq_max"] - dense) <= 1e-9
+
+
+def _named(mid, beta, gamma=1.0):
+    return make_model(mid, gamma=gamma, beta=beta, alpha=1.5 if mid == "rm-fkdv-kp" else None)
+
+
+@pytest.mark.parametrize("mid", MODEL_IDS)
+def test_band_rho_sq_is_even_about_one_half(mid):
+    # xi -> 1 - xi maps the pair (p, q) to (-q, -p), and the frequency is odd
+    # in p; on this dyadic grid 1 - xi is exact
+    xi = np.arange(1, 33)[:, None] / 64.0
+    k = np.array([0.05, 0.4, 1.3, 2.2, 7.0, 40.0])
+    for beta in (1.0, -1.0):
+        m = _named(mid, beta)
+        v = collision_rho_squared(m, -1, 0, xi, k)
+        mirrored = collision_rho_squared(m, -1, 0, 1.0 - xi, k)
+        assert np.all(np.abs(v - mirrored) <= 1e-14 * np.maximum(1.0, np.abs(v)))
+
+
+def test_band_peak_is_never_below_its_scan():
+    ks = np.geomspace(1e-3, 1e3, 161)
+    for mid in MODEL_IDS:
+        for beta in (1.0, -1.0, 0.3):
+            m = _named(mid, beta)
+            xis, peaks = _max_band_rho_sq(m, ks)
+            scan = collision_rho_squared(m, -1, 0, _XI_SCAN, ks[:, None]).max(axis=1)
+            assert np.all(peaks >= scan), (mid, beta)
+            assert np.all((0 < xis) & (xis <= 0.5))
+    # the peak at the xi = 1e-4 end of the scan is that scan point
+    v = theta1_verdict(make_model("rmkp", beta=-1.0), 1000.0)
+    assert v.thresholds["xi_star"] == 1e-4
+    assert v.thresholds["rho_c_sq_max"] == collision_rho_squared(
+        make_model("rmkp", beta=-1.0), -1, 0, 1e-4, 1000.0)
+
+
+def test_classify_xi_star_lies_in_the_half_interval():
+    for mid in MODEL_IDS:
+        for beta in (1.0, -1.0, 0.3):
+            for gamma in (0.5, 1.0, 3.0):
+                m = _named(mid, beta, gamma)
+                for k in (0.05, 0.4, 1.3, 2.2, 7.0):
+                    xi_star = classify(m, k).thresholds["xi_star"]
+                    assert 0 < xi_star <= 0.5, (mid, beta, gamma, k)
 
 
 # --- merged verdict and atlas ----------------------------------------------------
