@@ -12,15 +12,12 @@ from pathlib import Path
 
 import numpy as np
 
-from transpec import make_model, max_growth_rate, theta1_band
-from transpec.cli import csv_lines, svg_plot
+from transpec import max_growth_rate, theta1_band
+from transpec.cli import csv_lines, model_from, model_options, svg_plot
 
 
 def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--model", default="rmkp")
-    ap.add_argument("--gamma", type=float, default=1.0)
-    ap.add_argument("--beta", type=float, default=1.0)
+    ap = argparse.ArgumentParser(parents=[model_options()])
     ap.add_argument("--k", type=float, default=2.0)
     ap.add_argument("--xi", type=float, default=0.5)
     ap.add_argument("--eps", type=float, default=0.01)
@@ -31,7 +28,7 @@ def main():
     ap.add_argument("--out-dir", default="out/band")
     args = ap.parse_args()
 
-    model = make_model(args.model, gamma=args.gamma, beta=args.beta)
+    model = model_from(args)
     band = theta1_band(model, args.k, args.eps, args.xi)
     if not band.exists:
         print(f"no band at k={args.k}, xi={args.xi} (rho_c^2={band.rho_c_sq:.6f})")

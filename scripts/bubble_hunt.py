@@ -13,11 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from transpec import (
-    build_wave, collision_rho_squared, detect_bubbles, eig_dense,
-    assemble_operator, make_model, omega, sweep,
-)
-from transpec.cli import csv_lines, dumps, svg_plot
+from transpec import collision_rho_squared, detect_bubbles, omega, sweep
+from transpec.cli import csv_lines, dumps, model_from, model_options, svg_plot
 
 
 def collision_frequency(model, k, xi):
@@ -43,10 +40,7 @@ def solve_xi(model, k, target, lo=0.40, hi=0.49999):
 
 
 def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--model", default="rmkp")
-    ap.add_argument("--gamma", type=float, default=1.0)
-    ap.add_argument("--beta", type=float, default=1.0)
+    ap = argparse.ArgumentParser(parents=[model_options()])
     ap.add_argument("--k", type=float, default=2.0)
     ap.add_argument("--eps", type=float, default=0.01)
     ap.add_argument("--N", type=int, default=64)
@@ -55,22 +49,23 @@ def main():
     ap.add_argument("--out-dir", default="out/bubble")
     args = ap.parse_args()
 
-    model = make_model(args.model, gamma=args.gamma, beta=args.beta)
+    model = model_from(args)
     xi = solve_xi(model, args.k, args.target)
     rho = np.sqrt(collision_rho_squared(model, -1, 0, xi, args.k))
     print(f"collision curve hit: xi={xi:.6f} rho_c={rho:.6f}")
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    wave = build_wave(model, args.k, args.eps, check=False)
-    res = eig_dense(assemble_operator(model, wave, rho, xi, args.N))
+    results = sweep(model, args.k, args.eps, [float(rho)], [-xi, xi], N=args.N)
+    res = results[1]  # the +xi point
+    if res.error is not None:
+        raise SystemExit(f"error: spectrum at xi={xi:.6f}: {res.error}")
     (out / "spectrum.csv").write_text(
         csv_lines([(ev.real, ev.imag) for ev in res.eigenvalues], "re,im"))
     svg_plot(str(out / "spectrum.svg"),
              [(float(ev.real), float(ev.imag)) for ev in res.eigenvalues],
              "Re lambda", "Im lambda")
 
-    results = sweep(model, args.k, args.eps, [float(rho)], [-xi, xi], N=args.N)
     bubbles = detect_bubbles(results, threshold=1e-4)
     (out / "bubbles.json").write_text(dumps([b.as_dict() for b in bubbles]))
     for b in bubbles:

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: wave, collide, classify, spectrum, sweep, atlas.  Options can be
-preloaded from a flat JSON config file; explicit flags override file values.
+preloaded from a flat JSON config file keyed by dest; flags override it.
 All machine output is JSON (floats at 17 significant digits) or CSV; human
 tables round to 9 significant digits.
 """
@@ -136,52 +136,41 @@ def svg_plot(path: str, pts, xlabel: str, ylabel: str, connect: bool = False) ->
 
 # --- argument plumbing --------------------------------------------------------
 
-def _add_model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", default=None, help="model id, e.g. rmkp, rmbo-kp, rm-whitham-kp")
-    p.add_argument("--gamma", type=float, default=None, help="rotation parameter (> 0)")
-    p.add_argument("--beta", type=float, default=None, help="dispersion scale")
-    p.add_argument("--alpha", type=float, default=None, help="symbol exponent (rm-fkdv-kp)")
+def _finite(text: str) -> float:
+    """Type of every float option: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
-def _parse_grid(text: str) -> list:
-    """Parse 'lo:hi:num' into a list, or a comma list of values."""
+def _grid(text: str) -> list:
+    """Type of the grid options: 'lo:hi:num', or a comma list of values."""
     try:
         if ":" in text:
             lo, hi, num = text.split(":")
-            return list(np.linspace(float(lo), float(hi), int(num)))
-        return [float(v) for v in text.split(",")]
+            return list(np.linspace(_finite(lo), _finite(hi), int(num)))
+        return [_finite(v) for v in text.split(",")]
     except ValueError as exc:
-        raise ValidationError(f"grid expects 'lo:hi:num' or a comma list, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"expected 'lo:hi:num' or a comma list, got {text!r}") from exc
 
 
-_DEFAULTS = {"model": "rmkp", "gamma": 1.0, "beta": 1.0, "alpha": None,
-             "k": 1.0, "eps": 0.01, "N": 64}
+def model_options() -> argparse.ArgumentParser:
+    """Parent parser of the model flags; ``model_from`` builds their model."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--model", default="rmkp", help="model id, e.g. rmkp, rmbo-kp, rm-whitham-kp")
+    p.add_argument("--gamma", type=_finite, default=1.0, help="rotation parameter (> 0)")
+    p.add_argument("--beta", type=_finite, default=1.0, help="dispersion scale")
+    p.add_argument("--alpha", type=_finite, default=None, help="symbol exponent (rm-fkdv-kp)")
+    return p
 
 
-def _merged(args: argparse.Namespace) -> dict:
-    """Flag values over config-file values over defaults."""
-    cfg = dict(_DEFAULTS)
-    if getattr(args, "config", None):
-        try:
-            loaded = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"cannot read config {args.config}: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ValidationError("config file must hold a flat JSON object")
-        cfg.update(loaded)
-    for key, val in vars(args).items():
-        if val is not None and key not in ("config", "func"):
-            cfg[key] = val
-    return cfg
-
-
-def _model_from(cfg: dict) -> symbols.ModelSpec:
-    for key in ("gamma", "beta", "k", "eps"):
-        if key in cfg and cfg[key] is not None and not math.isfinite(float(cfg[key])):
-            raise ValidationError(f"{key} must be finite")
-    return symbols.make_model(cfg["model"], gamma=float(cfg["gamma"]),
-                              beta=float(cfg["beta"]),
-                              alpha=cfg.get("alpha"))
+def model_from(args: argparse.Namespace) -> symbols.ModelSpec:
+    """The model named by the ``model_options`` flags in parsed ``args``."""
+    return symbols.make_model(args.model, gamma=args.gamma, beta=args.beta, alpha=args.alpha)
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -189,19 +178,17 @@ def _model_from(cfg: dict) -> symbols.ModelSpec:
 def _cmd_wave(args) -> int:
     if args.samples < 0:
         raise ValidationError(f"--samples must be non-negative, got {args.samples}")
-    cfg = _merged(args)
-    model = _model_from(cfg)
-    k, eps = float(cfg["k"]), float(cfg["eps"])
-    wave = stokes.build_wave(model, k, eps)
+    model = model_from(args)
+    wave = stokes.build_wave(model, args.k, args.eps)
     record = {
-        "model": cfg["model"], "gamma": model.gamma, "beta": model.beta,
-        "k": k, "eps": eps,
+        "model": args.model, "gamma": model.gamma, "beta": model.beta,
+        "k": args.k, "eps": args.eps,
         "eta2": wave.eta2, "eta3": wave.eta3, "c0": wave.c0, "c2": wave.c2,
         "residual": stokes.residual_norm(model, wave),
     }
-    _write_text(getattr(args, "json", None), dumps(record))
+    _write_text(args.json, dumps(record))
     if args.csv:
-        zs = np.linspace(0.0, 2 * np.pi, int(args.samples), endpoint=False)
+        zs = np.linspace(0.0, 2 * np.pi, args.samples, endpoint=False)
         rows = [(z, stokes.wave_profile(wave, z)) for z in zs]
         _write_text(args.csv, csv_lines(rows, "z,eta"))
     return 0
@@ -225,46 +212,39 @@ def _collide_table(model, theta_max: int) -> str:
 
 
 def _cmd_collide(args) -> int:
-    cfg = _merged(args)
-    model = _model_from(cfg)
+    model = model_from(args)
     if args.table:
         sys.stdout.write(_collide_table(model, args.theta_max))
         return 0
-    k = float(args.k) if args.k is not None else None
     records = collisions.enumerate_potentially_unstable(
-        model, args.theta, args.perturbation, k=k)
+        model, args.theta, args.perturbation, k=args.k)
     out = "\n".join(dumps(r.as_dict(), compact=True) for r in records)
-    _write_text(getattr(args, "json", None), out)
+    _write_text(args.json, out)
     return 0
 
 
 def _cmd_classify(args) -> int:
-    cfg = _merged(args)
-    model = _model_from(cfg)
-    verdict = reduced.classify(model, float(cfg["k"]))
-    record = {"model": cfg["model"], "gamma": model.gamma, "beta": model.beta,
-              "k": float(cfg["k"])}
+    model = model_from(args)
+    verdict = reduced.classify(model, args.k)
+    record = {"model": args.model, "gamma": model.gamma, "beta": model.beta, "k": args.k}
     record.update(verdict.as_dict())
-    _write_text(getattr(args, "json", None), dumps(record))
+    _write_text(args.json, dumps(record))
     return 0
 
 
 def _cmd_spectrum(args) -> int:
-    cfg = _merged(args)
-    model = _model_from(cfg)
-    k, eps, N = float(cfg["k"]), float(cfg["eps"]), int(cfg["N"])
-    rho, xi = float(args.rho), float(args.xi)
-    wave = stokes.build_wave(model, k, eps, check=False)
+    model = model_from(args)
+    wave = stokes.build_wave(model, args.k, args.eps, check=False)
     if args.shift is not None:
         try:
-            re, im = (float(v) for v in args.shift.split(","))
-        except ValueError as exc:
+            re, im = (_finite(v) for v in args.shift.split(","))
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ValidationError(f"--shift expects 're,im', got {args.shift!r}") from exc
-        result = operator.shift_invert_eigs(model, wave, rho, xi, N,
+        result = operator.shift_invert_eigs(model, wave, args.rho, args.xi, args.N,
                                             shift=complex(re, im), count=args.count)
     else:
-        result = operator.eig_dense(operator.assemble_operator(model, wave, rho, xi, N))
-    _write_text(getattr(args, "json", None), dumps(result.as_dict()))
+        result = operator.eig_dense(operator.assemble_operator(model, wave, args.rho, args.xi, args.N))
+    _write_text(args.json, dumps(result.as_dict()))
     if args.csv:
         rows = [(ev.real, ev.imag) for ev in result.eigenvalues]
         _write_text(args.csv, csv_lines(rows, "re,im"))
@@ -275,27 +255,22 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _merged(args)
-    model = _model_from(cfg)
-    k, eps, N = float(cfg["k"]), float(cfg["eps"]), int(cfg["N"])
-    rho_grid = _parse_grid(args.rho_grid)
-    xi_grid = _parse_grid(args.xi_grid)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    results = operator.sweep(model, k, eps, rho_grid, xi_grid, N)
-    manifest = {"model": cfg["model"], "gamma": model.gamma, "beta": model.beta,
-                "k": k, "eps": eps, "N": N, "points": []}
+    model = model_from(args)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    results = operator.sweep(model, args.k, args.eps, args.rho_grid, args.xi_grid, args.N)
+    manifest = {"model": args.model, "gamma": model.gamma, "beta": model.beta,
+                "k": args.k, "eps": args.eps, "N": args.N, "points": []}
     for i, res in enumerate(results):
         name = f"point_{i:04d}.csv"
         rows = [(ev.real, ev.imag) for ev in res.eigenvalues]
-        _write_text(str(out_dir / name), csv_lines(rows, "re,im"))
+        _write_text(str(args.out_dir / name), csv_lines(rows, "re,im"))
         manifest["points"].append({
             "file": name, "rho": res.rho, "xi": res.xi,
             "max_real": res.max_real, "error": res.error,
         })
     bubbles = operator.detect_bubbles(results, threshold=args.bubble_threshold)
     manifest["bubbles"] = [b.as_dict() for b in bubbles]
-    _write_text(str(out_dir / "manifest.json"), dumps(manifest))
+    _write_text(str(args.out_dir / "manifest.json"), dumps(manifest))
     if args.svg:
         pts = sorted((res.xi, res.max_real) for res in results if res.error is None)
         svg_plot(args.svg, pts, "xi", "max Re lambda", connect=True)
@@ -303,9 +278,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_atlas(args) -> int:
-    cfg = _merged(args)
-    table = reduced.atlas(gamma=float(cfg["gamma"]),
-                          fkdv_alpha=float(args.fkdv_alpha))
+    table = reduced.atlas(gamma=args.gamma, fkdv_alpha=args.fkdv_alpha)
     rows = [["model", *reduced.ATLAS_COLUMNS]]
     for mid, cells in table.items():
         rows.append([mid] + ["Unstable" if cells[c].outcome == "unstable" else "Stable"
@@ -318,26 +291,30 @@ def _cmd_atlas(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="transpec",
-        description="Transverse spectral stability of small periodic traveling waves",
-    )
-    parser.add_argument("--config", default=None, help="flat JSON config file; flags override")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _top_parser(**kwargs) -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(allow_abbrev=False, **kwargs)
+    p.add_argument("--config", help="JSON file of option values keyed by dest; flags override")
+    return p
 
-    p = sub.add_parser("wave", help="wave expansion coefficients and residual")
-    _add_model_args(p)
-    p.add_argument("--k", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--json", default=None, help="output path (default stdout)")
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _top_parser(
+        prog="transpec", description="Transverse spectral stability of small periodic traveling waves")
+    sub = parser.add_subparsers(dest="command", required=True)
+    models = model_options()
+    waves = argparse.ArgumentParser(add_help=False, parents=[models])
+    waves.add_argument("--k", type=_finite, default=1.0)
+    waves.add_argument("--eps", type=_finite, default=0.01)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--json", help="output path (default stdout)")
+
+    p = sub.add_parser("wave", parents=[waves, out], help="wave expansion coefficients and residual")
     p.add_argument("--csv", default=None, help="write (z, eta) samples here")
     p.add_argument("--samples", type=int, default=256)
     p.set_defaults(func=_cmd_wave)
 
-    p = sub.add_parser("collide", help="potentially unstable collision records")
-    _add_model_args(p)
-    p.add_argument("--k", type=float, default=None,
+    p = sub.add_parser("collide", parents=[models, out], help="potentially unstable collision records")
+    p.add_argument("--k", type=_finite, default=None,
                    help="evaluate records at this wavenumber (default: search a witness)")
     p.add_argument("--theta", type=int, default=2, help="mode separation")
     p.add_argument("--perturbation", choices=("periodic", "nonperiodic"),
@@ -345,54 +322,75 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", action="store_true",
                    help="render the potentially-unstable-node table")
     p.add_argument("--theta-max", type=int, default=4)
-    p.add_argument("--json", default=None)
     p.set_defaults(func=_cmd_collide)
 
-    p = sub.add_parser("classify", help="stability verdict at one wavenumber")
-    _add_model_args(p)
-    p.add_argument("--k", type=float, default=None)
-    p.add_argument("--json", default=None)
+    p = sub.add_parser("classify", parents=[models, out], help="stability verdict at one wavenumber")
+    p.add_argument("--k", type=_finite, default=1.0)
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("spectrum", help="eigenvalues at one (rho, xi)")
-    _add_model_args(p)
-    p.add_argument("--k", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--xi", type=float, required=True)
+    p = sub.add_parser("spectrum", parents=[waves, out], help="eigenvalues at one (rho, xi)")
+    p.add_argument("--N", type=int, default=64)
+    p.add_argument("--rho", type=_finite, required=True)
+    p.add_argument("--xi", type=_finite, required=True)
     p.add_argument("--shift", default=None, help="shift-invert target 're,im'")
     p.add_argument("--count", type=int, default=6)
-    p.add_argument("--json", default=None)
     p.add_argument("--csv", default=None)
     p.add_argument("--svg", default=None)
     p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("sweep", help="spectra over a (rho, xi) grid")
-    _add_model_args(p)
-    p.add_argument("--k", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--rho-grid", required=True, help="'lo:hi:num' or comma list")
-    p.add_argument("--xi-grid", required=True, help="'lo:hi:num' or comma list")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--bubble-threshold", type=float, default=None)
+    p = sub.add_parser("sweep", parents=[waves], help="spectra over a (rho, xi) grid")
+    p.add_argument("--N", type=int, default=64)
+    p.add_argument("--rho-grid", type=_grid, required=True, help="'lo:hi:num' or comma list")
+    p.add_argument("--xi-grid", type=_grid, required=True, help="'lo:hi:num' or comma list")
+    p.add_argument("--out-dir", type=Path, required=True)
+    p.add_argument("--bubble-threshold", type=_finite, default=None)
     p.add_argument("--svg", default=None)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("atlas", help="stability table over all named models")
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--fkdv-alpha", type=float, default=1.5)
+    p.add_argument("--gamma", type=_finite, default=1.0)
+    p.add_argument("--fkdv-alpha", type=_finite, default=1.5)
     p.add_argument("--json", default=None)
     p.set_defaults(func=_cmd_atlas)
 
     return parser
 
 
+def _with_config(parser: argparse.ArgumentParser, argv: list) -> list:
+    """argv with the --config file's entries as flags right after the subcommand
+    name: argparse converts and checks them like flags, and later flags win."""
+    top, rest = _top_parser(add_help=False).parse_known_args(argv)
+    commands = next(a.choices for a in parser._actions if a.dest == "command")
+    if top.config is None or not rest or rest[0] not in commands:
+        return argv
+    try:
+        config = json.loads(Path(top.config).read_text())
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot read config {top.config}: {exc}")
+    if not isinstance(config, dict):
+        parser.error("config file must hold a flat JSON object")
+    known = {a.dest for p in commands.values() for a in p._actions}
+    own = {a.dest: a for a in commands[rest[0]]._actions}
+    flags = []
+    for key, value in config.items():
+        action = own.get(key)
+        if action is None:  # ignored if another subcommand takes it
+            if key not in known:
+                parser.error(f"config key {key!r} is no option of any subcommand")
+        elif action.nargs == 0 and isinstance(value, bool):  # a switch such as --table
+            flags += action.option_strings[:1] * value
+        elif action.nargs != 0 and type(value) in (str, int, float):
+            flags.append(f"{action.option_strings[0]}={value}")
+        else:
+            parser.error(f"config key {key!r} cannot take {json.dumps(value)}")
+    cut = len(argv) - len(rest) + 1  # after the subcommand name
+    return argv[:cut] + flags + argv[cut:]
+
+
 def run(argv) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_with_config(parser, list(argv)))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -164,6 +165,8 @@ def test_bad_subcommand_exits_2(capsys):
     "wave --N 32",
     "spectrum --rho 1.5 --xi 0.5 --shift 0,0.38 --count 0",
     "sweep --rho-grid 1 --xi-grid 0.5 --N -3 --out-dir {d}",
+    "spectrum --rho nan --xi 0.5",
+    "sweep --rho-grid nan --xi-grid 0.5 --out-dir {d}",
 ])
 def test_malformed_input_exits_2(argv, tmp_path, capsys):
     code, _, err = run_cli(capsys, *argv.format(d=tmp_path).split())
@@ -205,6 +208,79 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     record = json.loads(out)
     assert record["k"] == 0.46
     assert record["outcome"] == "stable"
+
+
+def _config_argv(tmp_path, config, argv):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return ["--config", str(path), *argv.split()]
+
+
+@pytest.mark.parametrize("config, argv, flags", [
+    ({"theta": 3, "perturbation": "nonperiodic", "k": 0.3}, "collide",
+     "collide --theta 3 --perturbation nonperiodic --k 0.3"),
+    ({"table": True, "theta_max": 3}, "collide", "collide --table --theta-max 3"),
+    ({"table": False}, "collide", "collide"),
+    # the required --rho and --xi, and --count
+    ({"rho": 0.5, "xi": 0.1, "count": 2}, "spectrum --k 1 --eps 0 --N 12 --shift 0,0.5",
+     "spectrum --k 1 --eps 0 --N 12 --shift 0,0.5 --rho 0.5 --xi 0.1 --count 2"),
+    # a flag on the command line beats the file
+    ({"theta": 3, "perturbation": "nonperiodic"}, "collide --theta 2 --k 0.3",
+     "collide --theta 2 --perturbation nonperiodic --k 0.3"),
+    # eps and theta belong to other subcommands, so classify ignores them
+    ({"k": 2.0, "eps": 0.05, "theta": 3}, "classify", "classify --k 2"),
+])
+def test_config_sets_options_as_flags_do(config, argv, flags, tmp_path, capsys):
+    code, out, err = run_cli(capsys, *_config_argv(tmp_path, config, argv))
+    assert code == 0, err
+    assert out
+    assert run_cli(capsys, *flags.split()) == (0, out, "")
+
+
+def test_config_sets_wave_samples_and_path(tmp_path, capsys):
+    csv = tmp_path / "w.csv"
+    code, _, err = run_cli(capsys, *_config_argv(tmp_path, {"samples": 4, "csv": str(csv)}, "wave"))
+    assert code == 0, err
+    assert len(csv.read_text().splitlines()) == 1 + 4
+
+
+@pytest.mark.parametrize("config, argv", [
+    ({"typo_key": 5}, "classify"),
+    ({"k": "abc"}, "classify"),
+    ({"gamma": None}, "classify"),
+    ({"json": None}, "classify"),
+    ({"table": "yes"}, "collide"),
+])
+def test_bad_config_entry_exits_2(config, argv, tmp_path, capsys):
+    code, _, err = run_cli(capsys, *_config_argv(tmp_path, config, argv))
+    assert code == 2
+    assert "error:" in err
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line) for line in lines if line and not line.startswith("#")]
+
+
+def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert sum(argv[0] == "transpec" for argv in commands) >= 8
+    for argv in commands:
+        if argv[0] == "echo":  # echo 'TEXT' > FILE
+            assert argv[2] == ">"
+            Path(argv[3]).write_text(argv[1] + "\n")
+            continue
+        assert argv[0] == "transpec"
+        code, _, err = run_cli(capsys, *argv[1:])
+        assert code == 0, (argv, err)
+        for flag, value in zip(argv, argv[1:]):
+            if flag in ("--csv", "--svg", "--json"):
+                assert Path(value).is_file(), (argv, value)
+            elif flag == "--out-dir":
+                assert (Path(value) / "manifest.json").is_file(), argv
 
 
 def test_seventeen_digit_floats():

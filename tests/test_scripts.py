@@ -13,6 +13,10 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 @pytest.mark.parametrize("script, args, csv, header", [
     ("bubble_hunt.py", ["--N", "24"], "spectrum.csv", "re,im"),
     ("band_profile.py", ["--N", "16", "--points", "5"], "band.csv", "rho_sq,max_growth"),
+    ("bubble_hunt.py", ["--N", "24", "--model", "rm-fkdv-kp", "--alpha", "1.5"],
+     "spectrum.csv", "re,im"),
+    ("band_profile.py", ["--N", "16", "--points", "5", "--model", "rm-fkdv-kp", "--alpha", "1.5"],
+     "band.csv", "rho_sq,max_growth"),
 ])
 def test_script_runs_and_writes_its_csv(script, args, csv, header, tmp_path):
     # a fresh interpreter, as the scripts are run from the command line
