@@ -8,26 +8,30 @@ rate with the predicted peak and half-width.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from transpec import max_growth_rate, theta1_band
-from transpec.cli import csv_lines, model_from, model_options, svg_plot
+from transpec.cli import csv_lines, exit_code, finite, model_from, model_options, svg_plot
 
 
 def main():
     ap = argparse.ArgumentParser(parents=[model_options()])
-    ap.add_argument("--k", type=float, default=2.0)
-    ap.add_argument("--xi", type=float, default=0.5)
-    ap.add_argument("--eps", type=float, default=0.01)
+    ap.add_argument("--k", type=finite, default=2.0)
+    ap.add_argument("--xi", type=finite, default=0.5)
+    ap.add_argument("--eps", type=finite, default=0.01)
     ap.add_argument("--N", type=int, default=64)
     ap.add_argument("--points", type=int, default=41)
-    ap.add_argument("--halfwidths", type=float, default=3.0,
+    ap.add_argument("--halfwidths", type=finite, default=3.0,
                     help="transect half-extent in units of the band half-width")
     ap.add_argument("--out-dir", default="out/band")
     args = ap.parse_args()
+    sys.exit(exit_code(lambda: profile(args)))
 
+
+def profile(args):
     model = model_from(args)
     band = theta1_band(model, args.k, args.eps, args.xi)
     if not band.exists:

@@ -9,12 +9,13 @@ numeric spectrum there and writes eigenvalues plus a bubble summary.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from transpec import collision_rho_squared, detect_bubbles, omega, sweep
-from transpec.cli import csv_lines, dumps, model_from, model_options, svg_plot
+from transpec.cli import csv_lines, dumps, exit_code, finite, model_from, model_options, svg_plot
 
 
 def collision_frequency(model, k, xi):
@@ -41,22 +42,25 @@ def solve_xi(model, k, target, lo=0.40, hi=0.49999):
 
 def main():
     ap = argparse.ArgumentParser(parents=[model_options()])
-    ap.add_argument("--k", type=float, default=2.0)
-    ap.add_argument("--eps", type=float, default=0.01)
+    ap.add_argument("--k", type=finite, default=2.0)
+    ap.add_argument("--eps", type=finite, default=0.01)
     ap.add_argument("--N", type=int, default=64)
-    ap.add_argument("--target", type=float, default=0.37916,
+    ap.add_argument("--target", type=finite, default=0.37916,
                     help="imaginary-axis height of the bubble to hunt")
     ap.add_argument("--out-dir", default="out/bubble")
     args = ap.parse_args()
+    sys.exit(exit_code(lambda: hunt(args)))
 
+
+def hunt(args):
     model = model_from(args)
     xi = solve_xi(model, args.k, args.target)
     rho = np.sqrt(collision_rho_squared(model, -1, 0, xi, args.k))
     print(f"collision curve hit: xi={xi:.6f} rho_c={rho:.6f}")
 
+    results = sweep(model, args.k, args.eps, [float(rho)], [-xi, xi], N=args.N)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    results = sweep(model, args.k, args.eps, [float(rho)], [-xi, xi], N=args.N)
     res = results[1]  # the +xi point
     if res.error is not None:
         raise SystemExit(f"error: spectrum at xi={xi:.6f}: {res.error}")

@@ -136,7 +136,7 @@ def svg_plot(path: str, pts, xlabel: str, ylabel: str, connect: bool = False) ->
 
 # --- argument plumbing --------------------------------------------------------
 
-def _finite(text: str) -> float:
+def finite(text: str) -> float:
     """Type of every float option: a finite number."""
     try:
         value = float(text)
@@ -152,8 +152,8 @@ def _grid(text: str) -> list:
     try:
         if ":" in text:
             lo, hi, num = text.split(":")
-            return list(np.linspace(_finite(lo), _finite(hi), int(num)))
-        return [_finite(v) for v in text.split(",")]
+            return list(np.linspace(finite(lo), finite(hi), int(num)))
+        return [finite(v) for v in text.split(",")]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected 'lo:hi:num' or a comma list, got {text!r}") from exc
 
@@ -162,9 +162,9 @@ def model_options() -> argparse.ArgumentParser:
     """Parent parser of the model flags; ``model_from`` builds their model."""
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--model", default="rmkp", help="model id, e.g. rmkp, rmbo-kp, rm-whitham-kp")
-    p.add_argument("--gamma", type=_finite, default=1.0, help="rotation parameter (> 0)")
-    p.add_argument("--beta", type=_finite, default=1.0, help="dispersion scale")
-    p.add_argument("--alpha", type=_finite, default=None, help="symbol exponent (rm-fkdv-kp)")
+    p.add_argument("--gamma", type=finite, default=1.0, help="rotation parameter (> 0)")
+    p.add_argument("--beta", type=finite, default=1.0, help="dispersion scale")
+    p.add_argument("--alpha", type=finite, default=None, help="symbol exponent (rm-fkdv-kp)")
     return p
 
 
@@ -214,6 +214,8 @@ def _collide_table(model, theta_max: int) -> str:
 def _cmd_collide(args) -> int:
     model = model_from(args)
     if args.table:
+        if args.theta_max < 1:
+            raise ValidationError(f"--theta-max must be a positive integer, got {args.theta_max}")
         sys.stdout.write(_collide_table(model, args.theta_max))
         return 0
     records = collisions.enumerate_potentially_unstable(
@@ -237,7 +239,7 @@ def _cmd_spectrum(args) -> int:
     wave = stokes.build_wave(model, args.k, args.eps, check=False)
     if args.shift is not None:
         try:
-            re, im = (_finite(v) for v in args.shift.split(","))
+            re, im = (finite(v) for v in args.shift.split(","))
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ValidationError(f"--shift expects 're,im', got {args.shift!r}") from exc
         result = operator.shift_invert_eigs(model, wave, args.rho, args.xi, args.N,
@@ -256,8 +258,8 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_sweep(args) -> int:
     model = model_from(args)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     results = operator.sweep(model, args.k, args.eps, args.rho_grid, args.xi_grid, args.N)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {"model": args.model, "gamma": model.gamma, "beta": model.beta,
                 "k": args.k, "eps": args.eps, "N": args.N, "points": []}
     for i, res in enumerate(results):
@@ -303,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     models = model_options()
     waves = argparse.ArgumentParser(add_help=False, parents=[models])
-    waves.add_argument("--k", type=_finite, default=1.0)
-    waves.add_argument("--eps", type=_finite, default=0.01)
+    waves.add_argument("--k", type=finite, default=1.0)
+    waves.add_argument("--eps", type=finite, default=0.01)
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--json", help="output path (default stdout)")
 
@@ -314,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_wave)
 
     p = sub.add_parser("collide", parents=[models, out], help="potentially unstable collision records")
-    p.add_argument("--k", type=_finite, default=None,
+    p.add_argument("--k", type=finite, default=None,
                    help="evaluate records at this wavenumber (default: search a witness)")
     p.add_argument("--theta", type=int, default=2, help="mode separation")
     p.add_argument("--perturbation", choices=("periodic", "nonperiodic"),
@@ -325,13 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_collide)
 
     p = sub.add_parser("classify", parents=[models, out], help="stability verdict at one wavenumber")
-    p.add_argument("--k", type=_finite, default=1.0)
+    p.add_argument("--k", type=finite, default=1.0)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("spectrum", parents=[waves, out], help="eigenvalues at one (rho, xi)")
     p.add_argument("--N", type=int, default=64)
-    p.add_argument("--rho", type=_finite, required=True)
-    p.add_argument("--xi", type=_finite, required=True)
+    p.add_argument("--rho", type=finite, required=True)
+    p.add_argument("--xi", type=finite, required=True)
     p.add_argument("--shift", default=None, help="shift-invert target 're,im'")
     p.add_argument("--count", type=int, default=6)
     p.add_argument("--csv", default=None)
@@ -343,13 +345,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho-grid", type=_grid, required=True, help="'lo:hi:num' or comma list")
     p.add_argument("--xi-grid", type=_grid, required=True, help="'lo:hi:num' or comma list")
     p.add_argument("--out-dir", type=Path, required=True)
-    p.add_argument("--bubble-threshold", type=_finite, default=None)
+    p.add_argument("--bubble-threshold", type=finite, default=None)
     p.add_argument("--svg", default=None)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("atlas", help="stability table over all named models")
-    p.add_argument("--gamma", type=_finite, default=1.0)
-    p.add_argument("--fkdv-alpha", type=_finite, default=1.5)
+    p.add_argument("--gamma", type=finite, default=1.0)
+    p.add_argument("--fkdv-alpha", type=finite, default=1.5)
     p.add_argument("--json", default=None)
     p.set_defaults(func=_cmd_atlas)
 
@@ -387,20 +389,26 @@ def _with_config(parser: argparse.ArgumentParser, argv: list) -> list:
     return argv[:cut] + flags + argv[cut:]
 
 
-def run(argv) -> int:
-    parser = build_parser()
+def exit_code(call) -> int:
+    """Run ``call()``: 0, or 1 after a numerical failure and 2 after bad input or
+    an unwritable path, each reported on stderr."""
     try:
-        args = parser.parse_args(_with_config(parser, list(argv)))
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    try:
-        return args.func(args)
+        return call() or 0
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     except (TranspecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def run(argv) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(_with_config(parser, list(argv)))
+    except SystemExit as exc:
+        return int(exc.code) if exc.code else 0
+    return exit_code(lambda: args.func(args))
 
 
 def main() -> None:

@@ -9,10 +9,12 @@ reduce to the sign of one margin function per channel.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -28,6 +30,9 @@ _SQRT_EPS = math.sqrt(2.2e-16)
 #: Floquet exponents of the band-peak scan; the polish brackets two of its
 #: 36 cells around the best point.
 _XI_SCAN = np.linspace(1e-4, 0.5, 37)
+
+#: Models whose onset tables are kept, most recently used first.
+_ONSET_MEMO_SIZE = 64
 
 #: Column keys of the stability atlas, in presentation order.
 ATLAS_COLUMNS = (
@@ -51,12 +56,16 @@ ATLAS_MODELS = (
 
 @dataclass(frozen=True, slots=True)
 class Verdict:
-    """A stability decision with the analysis tag and thresholds behind it."""
+    """A stability decision with the analysis tag and thresholds behind it.
+
+    ``classify`` and the channel verdicts return a fresh ``thresholds`` dict;
+    ``atlas`` cells share read-only ones between tables.
+    """
 
     outcome: str                       # "unstable" | "stable"
     theorem: str                       # analysis tag, e.g. "t1".."t8"
-    thresholds: Dict[str, float] = field(default_factory=dict)
-    conditions: List[Tuple[str, bool]] = field(default_factory=list)
+    thresholds: Mapping[str, float] = field(default_factory=dict)
+    conditions: Tuple[Tuple[str, bool], ...] = ()
 
     def as_dict(self) -> dict:
         return {
@@ -94,11 +103,32 @@ def _channel_verdict(model: ModelSpec, unstable, thresholds: Dict[str, float], k
     channel is unstable here or has an onset; otherwise it is t3 or t7.
     """
     for i, kf in enumerate(onsets):
-        thresholds[key if i == 0 else f"{key}_{i + 1}"] = float(kf)
+        thresholds[key if i == 0 else f"{key}_{i + 1}"] = kf
     kdv_family = _is_kdv_quadratic(model)
-    tag = tags[not kdv_family] if unstable or onsets.size else ("t3" if kdv_family else "t7")
+    tag = tags[not kdv_family] if unstable or onsets else ("t3" if kdv_family else "t7")
     return Verdict("unstable" if unstable else "stable", tag, thresholds,
-                   [(condition, bool(unstable))])
+                   ((condition, bool(unstable)),))
+
+
+def _per_model(compute):
+    """``compute(model)``, kept for the last ``_ONSET_MEMO_SIZE`` models by value.
+
+    ``ModelSpec`` is frozen, so an equal model has the same answer.  A model
+    that cannot be hashed (a custom symbol whose callable is unhashable) is
+    computed on every call.
+    """
+    cached = functools.lru_cache(maxsize=_ONSET_MEMO_SIZE)(compute)
+
+    @functools.wraps(compute)
+    def lookup(model: ModelSpec):
+        try:
+            hash(model)
+        except TypeError:
+            return compute(model)
+        return cached(model)
+
+    lookup.cache_clear = cached.cache_clear
+    return lookup
 
 
 def golden_max(f, lo, hi):
@@ -184,19 +214,24 @@ def long_wavelength_lambda2(model: ModelSpec, k: float, eps: float, rho: float) 
     return -(rho**2) * (rho**2 + k**2 * eps**2 * lw_margin(model, k))
 
 
-def long_wavelength_verdict(model: ModelSpec, k: float) -> Verdict:
-    """Verdict for co-periodic perturbations with long transverse wavelength."""
-    margin = lw_margin(model, k)
-    unstable = margin < 0
+@_per_model
+def _lw_onsets(model: ModelSpec) -> Tuple[float, ...]:
+    """Every k in [1e-3, 1e3] where the long-wavelength margin changes sign."""
     grid = np.geomspace(1e-3, 1e3, 513)
+
     def cleared(kk):
         # the margin times mismatch_2^2: its sign, with its poles made simple roots
         m = _resonance_mismatch(model, kk, 2)
         return m * (1.5 * model.alpha2 * m - model.alpha1**2 * kk**2)
 
-    flips = _sign_changes(cleared, grid, cleared(grid), 1e-12)
-    return _channel_verdict(model, unstable, {"lw_margin": float(margin)}, "k_lw", flips,
-                            ("t1", "t5"), "(3/2) alpha2 + 2 alpha1 eta2 < 0")
+    return tuple(_sign_changes(cleared, grid, cleared(grid), 1e-12).tolist())
+
+
+def long_wavelength_verdict(model: ModelSpec, k: float) -> Verdict:
+    """Verdict for co-periodic perturbations with long transverse wavelength."""
+    margin = lw_margin(model, k)
+    return _channel_verdict(model, margin < 0, {"lw_margin": margin}, "k_lw",
+                            _lw_onsets(model), ("t1", "t5"), "(3/2) alpha2 + 2 alpha1 eta2 < 0")
 
 
 # --- adjacent-pair band channel ----------------------------------------------
@@ -247,45 +282,76 @@ def _max_band_rho_sq(model: ModelSpec, k):
             np.where(short, scan_max, peak)[()])
 
 
+@_per_model
+def _band_onsets(model: ModelSpec) -> Tuple[float, ...]:
+    """Every k in [1e-3, 1e3] where the band peak max over xi of rho_c^2 changes sign."""
+    grid = np.geomspace(1e-3, 1e3, 161)
+
+    # the (-1, 0) pair has no poles, so the band peak is continuous in k;
+    # every onset advances in the same array call
+    def peak(kk):
+        return _max_band_rho_sq(model, kk)[1]
+
+    return tuple(_sign_changes(peak, grid, peak(grid), 1e-12).tolist())
+
+
 def theta1_verdict(model: ModelSpec, k: float) -> Verdict:
     """Verdict for non-periodic perturbations with finite transverse wavelength."""
-    if not k > 0:
-        raise DomainError("wavenumber must be positive")
-    grid = np.geomspace(1e-3, 1e3, 161)
-    xis, peaks = _max_band_rho_sq(model, np.append(grid, k))
-    xi_star, best = xis[-1], peaks[-1]
+    if not (math.isfinite(k) and k > 0):
+        raise DomainError(f"wavenumber must be positive, got {k}")
+    xi_star, best = _max_band_rho_sq(model, k)
     unstable = best > 0
     thresholds: Dict[str, float] = {"xi_star": float(xi_star), "rho_c_sq_max": float(best)}
     if unstable:
         thresholds["rho_c"] = math.sqrt(best)
+    return _channel_verdict(model, unstable, thresholds, "k_t1b", _band_onsets(model),
+                            ("t2", "t6"), "rho_c^2(xi) > 0 for some xi in (0, 1/2]")
 
-    # the (-1, 0) pair has no poles, so the band peak is continuous in k;
-    # every onset advances in the same array call
-    flips = _sign_changes(lambda kk: _max_band_rho_sq(model, kk)[1], grid, peaks[:-1], 1e-12)
-    return _channel_verdict(model, unstable, thresholds, "k_t1b", flips, ("t2", "t6"),
-                            "rho_c^2(xi) > 0 for some xi in (0, 1/2]")
+
+#: The conditions of a merged verdict, by (long-wavelength, band) channel instability.
+_CLASSIFY_CONDITIONS = {
+    (lw, band): (("long-wavelength channel unstable", lw),
+                 ("finite-wavelength band channel unstable", band))
+    for lw in (False, True) for band in (False, True)
+}
 
 
 def classify(model: ModelSpec, k: float) -> Verdict:
     """Merged per-wavenumber verdict over both instability channels."""
     lw = long_wavelength_verdict(model, k)
     t1 = theta1_verdict(model, k)
-    unstable = lw.outcome == "unstable" or t1.outcome == "unstable"
+    lw_unstable, t1_unstable = lw.outcome == "unstable", t1.outcome == "unstable"
     thresholds = dict(lw.thresholds)
     thresholds.update(t1.thresholds)
-    if lw.outcome == "unstable":
-        tag = lw.theorem
-    elif t1.outcome == "unstable":
-        tag = t1.theorem
-    else:
-        tag = lw.theorem
-    conditions = [("long-wavelength channel unstable", lw.outcome == "unstable"),
-                  ("finite-wavelength band channel unstable", t1.outcome == "unstable")]
-    return Verdict(outcome="unstable" if unstable else "stable", theorem=tag,
-                   thresholds=thresholds, conditions=conditions)
+    tag = t1.theorem if t1_unstable and not lw_unstable else lw.theorem
+    return Verdict(outcome="unstable" if lw_unstable or t1_unstable else "stable", theorem=tag,
+                   thresholds=thresholds,
+                   conditions=_CLASSIFY_CONDITIONS[lw_unstable, t1_unstable])
 
 
 # --- existence-over-k atlas ---------------------------------------------------
+
+#: The atlas's k grid.
+_ATLAS_K = np.geomspace(1e-3, 1e3, 61)
+
+# Every table shares the parts of its cells that repeat: the thresholds of a
+# cell without a witness and of each witness k, the conditions, and the cells
+# that hold no threshold.  All of them are immutable.
+_NO_THRESHOLDS: Mapping[str, float] = MappingProxyType({})
+_WITNESS = tuple(MappingProxyType({"k_witness": k}) for k in _ATLAS_K.tolist())
+_LW_EXISTS = "exists k with negative long-wavelength margin"
+_BAND_EXISTS = "exists (k, xi) with positive band rho_c^2"
+_HIT = {c: ((c, True),) for c in (_LW_EXISTS, _BAND_EXISTS)}
+_NO_WITNESS = {c: Verdict("stable", "t7", _NO_THRESHOLDS, ((c, False),))
+               for c in (_LW_EXISTS, _BAND_EXISTS)}
+# no opposite-signature collisions reach rho = 0 away from xi = 0
+_LW_NONPERIODIC = Verdict("stable", "lk1", _NO_THRESHOLDS,
+                          (("no potentially unstable node at long wavelength", False),))
+# separated pairs have a positive separation discriminant; keyed by the kdv family
+_FSW_PERIODIC = {kdv: Verdict("stable", "t4" if kdv else "t8", _NO_THRESHOLDS,
+                              (("mode-pair separation discriminant stays positive", False),))
+                 for kdv in (True, False)}
+
 
 def atlas(gamma: float = 1.0, fkdv_alpha: float = 1.5) -> Dict[str, Dict[str, Verdict]]:
     """Existence verdicts ('unstable for some k > 0') per model and perturbation class.
@@ -294,39 +360,31 @@ def atlas(gamma: float = 1.0, fkdv_alpha: float = 1.5) -> Dict[str, Dict[str, Ve
     with the given gamma, on 61 log-spaced k in [1e-3, 1e3]; columns pin the
     beta sign they quantify over.
     """
-    k_grid = np.geomspace(1e-3, 1e3, 61)
-
     def cell(unstable_at, model, kdv_tag, general_tag, condition):
-        # unstable_at: one flag per k_grid point; the first unstable k is the witness
-        witnesses = np.nonzero(unstable_at)[0]
-        hit = bool(witnesses.size)
-        tag = (kdv_tag if _is_kdv_quadratic(model) else general_tag) if hit else "t7"
-        return Verdict("unstable" if hit else "stable", tag,
-                       {"k_witness": float(k_grid[witnesses[0]])} if hit else {},
-                       [(condition, hit)])
+        # unstable_at: one flag per _ATLAS_K point; the first unstable k is the witness
+        witnesses = np.flatnonzero(unstable_at)
+        if not witnesses.size:
+            return _NO_WITNESS[condition]
+        return Verdict("unstable", kdv_tag if _is_kdv_quadratic(model) else general_tag,
+                       _WITNESS[witnesses[0]], _HIT[condition])
 
     def band_unstable(model):
-        return _max_band_rho_sq(model, k_grid)[1] > 0
+        return _max_band_rho_sq(model, _ATLAS_K)[1] > 0
 
-    lw = "exists k with negative long-wavelength margin"
-    band = "exists (k, xi) with positive band rho_c^2"
     table: Dict[str, Dict[str, Verdict]] = {}
     for mid in ATLAS_MODELS:
         alpha = fkdv_alpha if mid == "rm-fkdv-kp" else None
         pos = make_model(mid, gamma=gamma, beta=1.0, alpha=alpha)
         neg = make_model(mid, gamma=gamma, beta=-1.0, alpha=alpha)
         table[mid] = {
-            "lw_periodic_beta_pos": cell(_lw_margin_raw(pos, k_grid) < 0, pos, "t1", "t5", lw),
-            "lw_periodic_beta_nonpos": cell(_lw_margin_raw(neg, k_grid) < 0, neg, "t1", "t5", lw),
-            # no opposite-signature collisions reach rho = 0 away from xi = 0
-            "lw_nonperiodic": Verdict(
-                "stable", "lk1", {},
-                [("no potentially unstable node at long wavelength", False)]),
-            # separated pairs have a positive separation discriminant
-            "fsw_periodic": Verdict(
-                "stable", "t4" if _is_kdv_quadratic(pos) else "t8", {},
-                [("mode-pair separation discriminant stays positive", False)]),
-            "fsw_nonperiodic_beta_pos": cell(band_unstable(pos), pos, "t2", "t6", band),
-            "fsw_nonperiodic_beta_nonpos": cell(band_unstable(neg), neg, "t2", "t6", band),
+            "lw_periodic_beta_pos": cell(_lw_margin_raw(pos, _ATLAS_K) < 0, pos, "t1", "t5",
+                                         _LW_EXISTS),
+            "lw_periodic_beta_nonpos": cell(_lw_margin_raw(neg, _ATLAS_K) < 0, neg, "t1", "t5",
+                                            _LW_EXISTS),
+            "lw_nonperiodic": _LW_NONPERIODIC,
+            "fsw_periodic": _FSW_PERIODIC[_is_kdv_quadratic(pos)],
+            "fsw_nonperiodic_beta_pos": cell(band_unstable(pos), pos, "t2", "t6", _BAND_EXISTS),
+            "fsw_nonperiodic_beta_nonpos": cell(band_unstable(neg), neg, "t2", "t6",
+                                                _BAND_EXISTS),
         }
     return table

@@ -167,6 +167,7 @@ def test_bad_subcommand_exits_2(capsys):
     "sweep --rho-grid 1 --xi-grid 0.5 --N -3 --out-dir {d}",
     "spectrum --rho nan --xi 0.5",
     "sweep --rho-grid nan --xi-grid 0.5 --out-dir {d}",
+    "collide --table --theta-max 0",
 ])
 def test_malformed_input_exits_2(argv, tmp_path, capsys):
     code, _, err = run_cli(capsys, *argv.format(d=tmp_path).split())
@@ -332,3 +333,12 @@ def test_analytic_and_dense_paths_do_not_import_scipy():
     growth = sorted(re for re, _ in record["shift"]["eigenvalues"])
     assert growth[0] == pytest.approx(-0.02, rel=1e-5)
     assert growth[-1] == pytest.approx(0.02, rel=1e-5)
+
+
+def test_rejected_sweep_leaves_no_out_dir(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    code, _, err = run_cli(capsys, "sweep", "--rho-grid", "1", "--xi-grid", "0.5",
+                           "--N", "-3", "--out-dir", str(out))
+    assert code == 2
+    assert "error:" in err
+    assert not out.exists()

@@ -369,3 +369,62 @@ def test_atlas_all_cells():
     for mid, cells in table.items():
         got = tuple(cells[c].outcome for c in ATLAS_COLUMNS)
         assert got == EXPECTED_ATLAS[mid], mid
+
+
+# --- per-model onset memo -------------------------------------------------------
+
+def _forget_onsets():
+    reduced._lw_onsets.cache_clear()
+    reduced._band_onsets.cache_clear()
+
+
+@pytest.mark.parametrize("mid", MODEL_IDS)
+def test_warm_classify_equals_a_cold_call(mid):
+    m = _named(mid, 1.0)
+    classify(m, 0.8)  # fills both onset tables of this model
+    warm = classify(m, 2.3).as_dict()
+    _forget_onsets()
+    cold = classify(_named(mid, 1.0), 2.3).as_dict()
+    assert repr(warm) == repr(cold)
+
+
+def test_mutating_a_verdict_leaves_the_next_one_alone():
+    m = make_model("rmkp")
+    v = classify(m, 2.0)
+    before = v.as_dict()
+    v.thresholds["k_lw"] = -1.0
+    v.thresholds.pop("k_t1b")
+    assert classify(m, 2.0).as_dict() == before
+    # atlas cells without thresholds are shared between calls, so they are immutable
+    cell = atlas()["rmbo-kp"]["lw_nonperiodic"]
+    with pytest.raises(TypeError):
+        cell.thresholds["k_witness"] = 1.0
+
+
+def test_a_model_that_cannot_be_hashed_still_classifies():
+    class Square:
+        __hash__ = None
+
+        def __call__(self, x):
+            return x * x
+
+    unhashable = ModelSpec(custom(Square()), 1.0, 1, 0, 1.0)
+    with pytest.raises(TypeError):
+        hash(unhashable)
+    hashable = ModelSpec(custom(lambda x: x * x), 1.0, 1, 0, 1.0)
+    for k in (0.8, 2.0, 0.8):
+        assert classify(unhashable, k).as_dict() == classify(hashable, k).as_dict()
+
+
+def test_warm_classify_polishes_only_its_own_k(monkeypatch):
+    m = make_model("rmkp")
+    classify(m, 1.7)
+    brackets = []
+
+    def counted(f, lo, hi):
+        brackets.append(np.size(lo))
+        return golden_max(f, lo, hi)
+
+    monkeypatch.setattr(reduced, "golden_max", counted)
+    classify(m, 2.3)
+    assert brackets == [1]

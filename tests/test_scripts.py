@@ -28,3 +28,20 @@ def test_script_runs_and_writes_its_csv(script, args, csv, header, tmp_path):
     lines = (tmp_path / csv).read_text().splitlines()
     assert lines[0] == header
     assert len(lines) > 1
+
+
+@pytest.mark.parametrize("script, args", [
+    ("band_profile.py", ["--xi", "nan"]),
+    ("band_profile.py", ["--xi", "0.7"]),
+    ("bubble_hunt.py", ["--k", "-2"]),
+    ("bubble_hunt.py", ["--N", "2"]),
+])
+def test_script_rejects_bad_input_with_exit_2(script, args, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(transpec.__file__).parents[1]))
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, str(SCRIPTS / script), *args, "--out-dir", str(out)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
