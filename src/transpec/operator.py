@@ -7,7 +7,10 @@ wave profile.  At xi = 0 the zero mode is removed, which realizes the
 mean-zero restriction exactly.
 
 Every entry is i times a real number, so the operator is stored as its real
-generator R, A = iR, and the dense path solves R in real arithmetic.
+generator R, A = iR, and the dense path solves R in real arithmetic.  R has at
+most 13 nonzero diagonals, and they are all that is stored: the dense R is
+built when it is read, and the shift-invert path hands the diagonals to
+scipy.sparse without ever forming a dense matrix.
 """
 
 from __future__ import annotations
@@ -23,30 +26,48 @@ from .stokes import StokesWave, build_wave, profile_coefficients
 from .symbols import ModelSpec, _omega_at_zero_rho
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense truncation of the linearized operator on modes |n| <= N.
+#: Diagonal offsets (column - row) of the stored bands of R.
+_OFFSETS = np.arange(-6, 7)
 
-    ``generator`` is the real matrix R of the operator A = iR; ``matrix`` is A.
+
+@dataclass(frozen=True, slots=True)
+class OperatorMatrix:
+    """Truncation of the linearized operator on modes |n| <= N, stored by diagonals.
+
+    ``bands`` holds the real generator R of A = iR in scipy's DIA layout:
+    ``bands[i, j] = R[j - _OFFSETS[i], j]``.  ``generator`` (the dense R) and
+    ``matrix`` (A) are built on each read.
     """
 
     N: int
     modes: np.ndarray
-    generator: np.ndarray
+    bands: np.ndarray
     wave: StokesWave
     rho: float
     xi: float
 
     @property
+    def dim(self) -> int:
+        return self.bands.shape[1]
+
+    @property
+    def generator(self) -> np.ndarray:
+        dim = self.dim
+        R = np.zeros((dim, dim))
+        flat = R.reshape(-1)
+        # the entries of one diagonal are dim + 1 apart in the row-major buffer
+        for offset, band in zip(_OFFSETS.tolist(), self.bands):
+            lo, hi = max(offset, 0), dim + min(offset, 0)
+            start = (lo - offset) * dim + lo
+            flat[start:start + (hi - lo) * (dim + 1):dim + 1] = band[lo:hi]
+        return R
+
+    @property
     def matrix(self) -> np.ndarray:
         return 1j * self.generator
 
-    @property
-    def dim(self) -> int:
-        return self.generator.shape[0]
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectrumResult:
     """Eigenvalues of one truncated operator with the parameters that made it.
 
@@ -71,7 +92,7 @@ class SpectrumResult:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bubble:
     """An isolated eigenvalue cluster off the imaginary axis."""
 
@@ -91,7 +112,7 @@ class Bubble:
 
 def assemble_operator(model: ModelSpec, wave: StokesWave, rho: float, xi: float,
                       N: int = 64) -> OperatorMatrix:
-    """Build the dense truncated operator at (rho, xi) as its real generator.
+    """Build the truncated operator at (rho, xi) as the diagonals of its real generator.
 
     The diagonal of R is ``Omega(n, rho, xi)`` plus the speed correction
     ``p k^2 (c(eps) - c0)``, ``p = n + xi``.  Off-diagonals are ``p k^2``
@@ -114,18 +135,21 @@ def assemble_operator(model: ModelSpec, wave: StokesWave, rho: float, xi: float,
     g_hat[3:10] += -2.0 * model.alpha1 * eta_hat
     g_hat += -3.0 * model.alpha2 * sq_hat
 
-    R = np.zeros((ns.size, ns.size))
-    # one diagonal per index offset d = row - column; the mode offset is at
-    # least |d| (more across the zero-mode gap), so |d| <= 6 holds every entry
-    for d in range(-6, 7):
-        rows = np.arange(max(d, 0), ns.size + min(d, 0))
-        offsets = ns[rows] - ns[rows - d]
-        keep = np.abs(offsets) <= 6
-        rows, offsets = rows[keep], offsets[keep]
-        R[rows, rows - d] = p[rows] * k**2 * g_hat[offsets + 6]
+    # column j of band i holds row j - _OFFSETS[i]; |n_row - n_col| is at least
+    # |row - col| (more across the zero-mode gap), so the 13 bands hold every
+    # entry, and slots that fall outside the matrix stay 0
+    cols = np.arange(ns.size)
+    rows = cols - _OFFSETS[:, None]
+    inside = (rows >= 0) & (rows < ns.size)
+    rows = np.where(inside, rows, cols)
+    mode_offsets = ns[rows] - ns[cols]
+    keep = inside & (np.abs(mode_offsets) <= 6)
+    bands = np.zeros((_OFFSETS.size, ns.size))
+    bands[keep] = p[rows[keep]] * k**2 * g_hat[mode_offsets[keep] + 6]
     speed_shift = p * k**2 * (wave.speed - wave.c0)
-    R[np.diag_indices_from(R)] += _omega_at_zero_rho(model, p, k) - rho**2 / p + speed_shift
-    return OperatorMatrix(N=N, modes=ns, generator=R, wave=wave, rho=float(rho), xi=float(xi))
+    # band 6 (offset 0) is the main diagonal
+    bands[6] += _omega_at_zero_rho(model, p, k) - rho**2 / p + speed_shift
+    return OperatorMatrix(N=N, modes=ns, bands=bands, wave=wave, rho=float(rho), xi=float(xi))
 
 
 def _check_modes(N: int) -> None:
@@ -175,10 +199,10 @@ def shift_invert_eigs(model: ModelSpec, wave: StokesWave, rho: float, xi: float,
     """The ``count`` eigenvalues nearest ``shift``.
 
     ARPACK's shift-invert mode: an Arnoldi process on ``(A - shift I)^{-1}``
-    with one sparse LU factorisation per call.  scipy is imported here only,
-    so the analytic layers and the dense path run on numpy alone.
+    with one sparse LU factorisation per call.  The matrix goes to scipy as its
+    diagonals, so no dense matrix is formed.  scipy is imported here only, so
+    the analytic layers and the dense path run on numpy alone.
     """
-    import scipy.sparse
     import scipy.sparse.linalg as spla
 
     if not 1 <= count <= 20:
@@ -192,7 +216,7 @@ def shift_invert_eigs(model: ModelSpec, wave: StokesWave, rho: float, xi: float,
     ncv = min(dim, max(4 * count + 5, 30))
     try:
         # a fixed start vector makes the result the same on every run
-        ev = spla.eigs(1j * scipy.sparse.csc_array(op.generator), k=count, sigma=shift,
+        ev = spla.eigs(1j * _generator_csc(op), k=count, sigma=shift,
                        which="LM", ncv=ncv, maxiter=200 * dim, tol=0,
                        v0=np.ones(dim, dtype=complex), return_eigenvectors=False)
     except Exception as exc:
@@ -204,6 +228,13 @@ def shift_invert_eigs(model: ModelSpec, wave: StokesWave, rho: float, xi: float,
         eigenvalues=ev, rho=op.rho, xi=op.xi, eps=wave.eps, k=wave.k, N=N,
         max_real=float(np.max(ev.real)),
     )
+
+
+def _generator_csc(op: OperatorMatrix):
+    """R in scipy's CSC format, straight from the bands; stored zeros are dropped."""
+    import scipy.sparse
+
+    return scipy.sparse.dia_array((op.bands, _OFFSETS), shape=(op.dim, op.dim)).tocsc()
 
 
 def spectrum_at(model: ModelSpec, k: float, eps: float, rho: float, xi: float,

@@ -195,6 +195,15 @@ def _lw_margin_raw(model: ModelSpec, k):
     return 1.5 * model.alpha2 + 2.0 * model.alpha1 * _eta2(model, k)
 
 
+def _lw_margin_cleared(model: ModelSpec, k):
+    """The margin times mismatch_2^2: its sign, with its poles made simple roots.
+
+    Finite everywhere, and 0 exactly at an n = 2 resonance; broadcasts over k.
+    """
+    m = _resonance_mismatch(model, k, 2)
+    return m * (1.5 * model.alpha2 * m - model.alpha1**2 * k**2)
+
+
 def lw_margin(model: ModelSpec, k: float) -> float:
     """Margin (3/2) alpha2 + 2 alpha1 eta2(k); negative means unstable."""
     check_resonance(model, k)
@@ -219,11 +228,7 @@ def _lw_onsets(model: ModelSpec) -> Tuple[float, ...]:
     """Every k in [1e-3, 1e3] where the long-wavelength margin changes sign."""
     grid = np.geomspace(1e-3, 1e3, 513)
 
-    def cleared(kk):
-        # the margin times mismatch_2^2: its sign, with its poles made simple roots
-        m = _resonance_mismatch(model, kk, 2)
-        return m * (1.5 * model.alpha2 * m - model.alpha1**2 * kk**2)
-
+    cleared = functools.partial(_lw_margin_cleared, model)
     return tuple(_sign_changes(cleared, grid, cleared(grid), 1e-12).tolist())
 
 
@@ -377,9 +382,9 @@ def atlas(gamma: float = 1.0, fkdv_alpha: float = 1.5) -> Dict[str, Dict[str, Ve
         pos = make_model(mid, gamma=gamma, beta=1.0, alpha=alpha)
         neg = make_model(mid, gamma=gamma, beta=-1.0, alpha=alpha)
         table[mid] = {
-            "lw_periodic_beta_pos": cell(_lw_margin_raw(pos, _ATLAS_K) < 0, pos, "t1", "t5",
+            "lw_periodic_beta_pos": cell(_lw_margin_cleared(pos, _ATLAS_K) < 0, pos, "t1", "t5",
                                          _LW_EXISTS),
-            "lw_periodic_beta_nonpos": cell(_lw_margin_raw(neg, _ATLAS_K) < 0, neg, "t1", "t5",
+            "lw_periodic_beta_nonpos": cell(_lw_margin_cleared(neg, _ATLAS_K) < 0, neg, "t1", "t5",
                                             _LW_EXISTS),
             "lw_nonperiodic": _LW_NONPERIODIC,
             "fsw_periodic": _FSW_PERIODIC[_is_kdv_quadratic(pos)],

@@ -133,6 +133,16 @@ def test_atlas_text_and_json(tmp_path, capsys):
     assert record["rmg-kp"]["lw_periodic_beta_nonpos"]["outcome"] == "unstable"
 
 
+def test_atlas_at_a_resonant_gamma_prints_no_warning():
+    # at gamma = 4 an n = 2 resonance falls on an atlas grid point
+    env = dict(os.environ, PYTHONPATH=str(Path(transpec.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "transpec.cli", "atlas", "--gamma", "4"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert len(proc.stdout.splitlines()) == 7
+
+
 def test_unknown_model_exits_2(capsys):
     code, _, err = run_cli(capsys, "classify", "--model", "rm-nope", "--k", "1")
     assert code == 2

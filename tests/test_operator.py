@@ -5,6 +5,7 @@ import pytest
 
 from transpec import (
     DomainError,
+    ValidationError,
     assemble_operator,
     build_wave,
     collision_rho_squared,
@@ -19,7 +20,9 @@ from transpec import (
     theta1_band,
     wave_profile,
 )
+from transpec.operator import _generator_csc
 from transpec.stokes import profile_coefficients
+from transpec.symbols import MODEL_IDS
 
 
 RNG = np.random.default_rng(424205)
@@ -326,6 +329,63 @@ def test_shift_invert_is_reproducible():
     first, second = (shift_invert_eigs(m, wave, 1.5, 0.5, 24, shift=0.38j, count=4)
                      for _ in range(2))
     assert np.array_equal(first.eigenvalues, second.eigenvalues)
+
+
+@pytest.mark.parametrize("mid", MODEL_IDS)
+@pytest.mark.parametrize("xi", [0.0, 0.3, 0.5])
+@pytest.mark.parametrize("N", [8, 64])
+def test_banded_csc_matches_the_dense_generator(mid, xi, N):
+    import scipy.sparse
+
+    m = make_model(mid, gamma=1.0, beta=1.0, alpha=1.5 if mid == "rm-fkdv-kp" else None)
+    wave = build_wave(m, 1.3, 0.05, check=False)
+    op = assemble_operator(m, wave, 0.9, xi, N)
+    assert op.bands.shape == (13, op.dim)
+    banded, dense = _generator_csc(op), scipy.sparse.csc_array(op.generator)
+    assert np.array_equal(banded.indptr, dense.indptr)
+    assert np.array_equal(banded.indices, dense.indices)
+    assert np.array_equal(banded.data, dense.data)
+    # the zero-mode gap at xi = 0 leaves empty band slots, none of them stored
+    assert np.all(banded.data != 0)
+
+
+def test_shift_invert_equals_eigs_on_the_dense_generator():
+    import scipy.sparse
+    import scipy.sparse.linalg as spla
+
+    m = make_model("rmkp", gamma=1.0, beta=1.0)
+    wave = build_wave(m, 2.0, 0.01, check=False)
+    xi = 0.4789
+    rho = math.sqrt(collision_rho_squared(m, -1, 0, xi, 2.0))
+    si = shift_invert_eigs(m, wave, rho, -xi, 64, shift=0.37916j, count=4)
+    op = assemble_operator(m, wave, rho, -xi, 64)
+    ev = spla.eigs(1j * scipy.sparse.csc_array(op.generator), k=4, sigma=0.37916j,
+                   which="LM", ncv=30, maxiter=200 * op.dim, tol=0,
+                   v0=np.ones(op.dim, dtype=complex), return_eigenvectors=False)
+    assert si.eigenvalues.tobytes() == _sorted(ev).tobytes()
+
+
+def test_shift_invert_beyond_the_dense_limit():
+    # dimension 4097 is past eig_dense's limit; the band pair at the
+    # import-guard bubble (growth 0.02) has converged in truncation by N = 256
+    m = make_model("rmkp", gamma=1.0, beta=1.0)
+    wave = build_wave(m, 2.0, 0.01, check=False)
+    big, ref = (shift_invert_eigs(m, wave, 1.5, 0.5, N, shift=0.38j, count=4)
+                for N in (2048, 256))
+    pair, ref_pair = (np.sort_complex(ev[np.abs(ev.real) > 0.01])
+                      for ev in (big.eigenvalues, ref.eigenvalues))
+    assert pair.size == ref_pair.size == 2
+    assert np.all(np.abs(pair - ref_pair) < 1e-10 * np.abs(ref_pair))
+
+
+def test_large_operator_holds_only_its_bands():
+    m = make_model("rmkp", gamma=1.0, beta=1.0)
+    wave = build_wave(m, 2.0, 0.01, check=False)
+    op = assemble_operator(m, wave, 1.5, 0.5, N=2100)
+    assert op.bands.shape == (13, 4201)
+    assert op.bands.nbytes == 13 * 4201 * 8  # 0.44 MB; the dense R would be 141 MB
+    with pytest.raises(ValidationError):
+        eig_dense(op)
 
 
 def test_sweep_matches_single_point_and_is_ordered():

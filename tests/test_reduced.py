@@ -17,7 +17,15 @@ from transpec import (
 )
 from transpec import reduced
 from transpec.collisions import collision_rho_squared
-from transpec.reduced import _XI_SCAN, _lw_margin_raw, _max_band_rho_sq, golden_max
+from transpec.reduced import (
+    ATLAS_MODELS,
+    _ATLAS_K,
+    _XI_SCAN,
+    _lw_margin_raw,
+    _max_band_rho_sq,
+    golden_max,
+)
+from transpec.stokes import _resonance_mismatch
 from transpec.symbols import MODEL_IDS, custom
 
 
@@ -369,6 +377,21 @@ def test_atlas_all_cells():
     for mid, cells in table.items():
         got = tuple(cells[c].outcome for c in ATLAS_COLUMNS)
         assert got == EXPECTED_ATLAS[mid], mid
+
+
+def test_atlas_is_quiet_on_a_resonant_grid_point():
+    # at gamma = 4 the n = 2 resonance of rmg-kp and rm-mkdv-kp (beta = 1) is
+    # the grid point k = 1, a pole of the margin; the suite turns any numpy
+    # warning into an error
+    assert _resonance_mismatch(make_model("rmg-kp", gamma=4.0), _ATLAS_K[30], 2) == 0.0
+    table = atlas(gamma=4.0)
+    for mid in ATLAS_MODELS:
+        alpha = 1.5 if mid == "rm-fkdv-kp" else None
+        for beta, column in ((1.0, "lw_periodic_beta_pos"), (-1.0, "lw_periodic_beta_nonpos")):
+            cell = table[mid][column]
+            if cell.outcome == "unstable":
+                m = make_model(mid, gamma=4.0, beta=beta, alpha=alpha)
+                assert _lw_margin_raw(m, cell.thresholds["k_witness"]) < 0
 
 
 # --- per-model onset memo -------------------------------------------------------
