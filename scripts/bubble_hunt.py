@@ -14,8 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from transpec import collision_rho_squared, detect_bubbles, omega, sweep
+from transpec import DomainError, collision_rho_squared, detect_bubbles, omega, sweep
 from transpec.cli import csv_lines, dumps, exit_code, finite, model_from, model_options, svg_plot
+from transpec.symbols import _sign_changes
 
 
 def collision_frequency(model, k, xi):
@@ -26,18 +27,15 @@ def collision_frequency(model, k, xi):
 
 
 def solve_xi(model, k, target, lo=0.40, hi=0.49999):
-    f = lambda xi: abs(collision_frequency(model, k, xi)) - target
-    flo = f(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # fixed point: the bracket cannot shrink further
-            break
-        fm = f(mid)
-        if (fm < 0) == (flo < 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    """The lowest xi in [lo, hi] whose collision frequency magnitude is ``target``."""
+    def mismatch(xis):
+        return np.array([abs(collision_frequency(model, k, xi)) - target for xi in xis])
+
+    grid = np.linspace(lo, hi, 101)
+    roots = _sign_changes(mismatch, grid, mismatch(grid), 1e-14)
+    if not roots.size:
+        raise DomainError(f"no xi in [{lo}, {hi}] has collision frequency magnitude {target}")
+    return float(roots[0])
 
 
 def main():

@@ -76,7 +76,7 @@ class Verdict:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Theta1Band:
     """The adjacent-pair instability band at one Floquet exponent."""
 
@@ -137,55 +137,81 @@ def golden_max(f, lo, hi):
     Brent's bounded minimiser (R. P. Brent, *Algorithms for Minimization
     without Derivatives*, 1973) of -f, with the step rules and the tolerance
     of scipy's ``fminbound`` at ``xatol=1e-8``: a parabola through the three
-    best points, or a golden-section step where it is not acceptable.  ``lo`` and ``hi`` may be
-    arrays of brackets; ``f`` then takes an array of points, every bracket
-    advances in one call per step, and a converged bracket stops moving.
-    Returns the best point found and its value.
+    best points, or a golden-section step where it is not acceptable.  ``lo``
+    and ``hi`` may be arrays of brackets.  Each bracket keeps its own Brent
+    state in Python floats, and ``f`` gets one array call per step, on an
+    array of the brackets' shape that holds every bracket's next point; a
+    converged bracket resubmits its best point.  Returns the best point found
+    and its value.
     """
-    a, b = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    x = w = v = a + _CGOLD * (b - a)
-    fx = fw = fv = -np.asarray(f(x), dtype=float)
-    d = e = np.zeros_like(x)
-    while True:
-        mid = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * np.abs(x) + 1e-8 / 3.0
-        tol2 = 2.0 * tol1
-        live = np.abs(x - mid) > tol2 - 0.5 * (b - a)
-        if not live.any():
-            return x[()], -fx[()]
-        # the parabola through x, w and v is taken when its vertex lies inside
-        # the bracket and moves less than half the step before last
-        r = (x - w) * (fx - fv)
-        q = (x - v) * (fx - fw)
-        p = (x - v) * q - (x - w) * r
-        q = 2.0 * (q - r)
-        p, q = np.where(q > 0, -p, p), np.abs(q)
-        parab = ((np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e))
-                 & (p > q * (a - x)) & (p < q * (b - x)))
-        step = p / np.where(parab, q, 1.0)
-        near = (x + step - a < tol2) | (b - (x + step) < tol2)
-        step = np.where(near, np.where(mid < x, -tol1, tol1), step)
-        gold = np.where(x >= mid, a, b) - x
-        e, d = np.where(parab, d, gold), np.where(parab, step, _CGOLD * gold)
-        size = np.maximum(np.abs(d), tol1)
-        u = np.where(live, np.where(d < 0, x - size, x + size), x)
-        fu = -np.asarray(f(u), dtype=float)
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    shape = lo.shape
 
-        # u becomes the best point x, or the bracket end on its side of x,
-        # and takes its rank among the three best points x, w and v
-        better = live & (fu <= fx)
-        worse = live ^ better
-        end, right = np.where(better, x, u), u >= x
-        a = np.where(live & (better == right), end, a)
-        b = np.where(live & (better != right), end, b)
-        second = worse & ((fu <= fw) | (w == x))
-        third = worse & ~second & ((fu <= fv) | (v == x) | (v == w))
-        shift = better | second
-        v, fv = (np.where(shift, w, np.where(third, u, v)),
-                 np.where(shift, fw, np.where(third, fu, fv)))
-        w, fw = (np.where(better, x, np.where(second, u, w)),
-                 np.where(better, fx, np.where(second, fu, fw)))
-        x, fx = np.where(better, u, x), np.where(better, fu, fx)
+    def neg_f(points):
+        return (-np.asarray(f(np.reshape(points, shape)), dtype=float)).ravel().tolist()
+
+    ends = list(zip(lo.ravel().tolist(), hi.ravel().tolist()))
+    points = [a + _CGOLD * (b - a) for a, b in ends]
+    # per bracket: a, b, x, w, v, fx, fw, fv, d, e
+    state = [(a, b, x, x, x, fx, fx, fx, 0.0, 0.0)
+             for (a, b), x, fx in zip(ends, points, neg_f(points))]
+    stepping, values = range(len(state)), None
+    while stepping:
+        live, stepping = stepping, []
+        for i in live:
+            a, b, x, w, v, fx, fw, fv, d, e = state[i]
+            if values is not None:
+                # u becomes the best point x, or the bracket end on its side of
+                # x, and takes its rank among the three best points x, w and v
+                u, fu = points[i], values[i]
+                if fu <= fx:
+                    if u >= x:
+                        a = x
+                    else:
+                        b = x
+                    v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+                else:
+                    if u < x:
+                        a = u
+                    else:
+                        b = u
+                    if fu <= fw or w == x:
+                        v, fv, w, fw = w, fw, u, fu
+                    elif fu <= fv or v == x or v == w:
+                        v, fv = u, fu
+            mid = 0.5 * (a + b)
+            tol1 = _SQRT_EPS * abs(x) + 1e-8 / 3.0
+            tol2 = 2.0 * tol1
+            if abs(x - mid) > tol2 - 0.5 * (b - a):
+                # the parabola through x, w and v is taken when its vertex lies
+                # inside the bracket and moves less than half the step before last
+                parab = False
+                if abs(e) > tol1:
+                    r = (x - w) * (fx - fv)
+                    q = (x - v) * (fx - fw)
+                    p = (x - v) * q - (x - w) * r
+                    q = 2.0 * (q - r)
+                    if q > 0.0:
+                        p = -p
+                    q = abs(q)
+                    parab = abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x)
+                if parab:
+                    e, d = d, p / q
+                    if x + d - a < tol2 or b - (x + d) < tol2:
+                        d = -tol1 if mid < x else tol1
+                else:
+                    e = (a if x >= mid else b) - x
+                    d = _CGOLD * e
+                size = max(abs(d), tol1)
+                points[i] = x - size if d < 0 else x + size
+                stepping.append(i)
+            else:
+                points[i] = x
+            state[i] = a, b, x, w, v, fx, fw, fv, d, e
+        if stepping:
+            values = neg_f(points)
+    xs = np.reshape([s[2] for s in state], shape)
+    return xs[()], -np.reshape([s[5] for s in state], shape)[()]
 
 
 # --- long-wavelength channel ------------------------------------------------

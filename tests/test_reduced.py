@@ -239,8 +239,9 @@ def test_golden_max_scalar_call_matches_scipy_bounded():
             x, v = golden_max(f, lo, hi)
             ref = minimize_scalar(lambda t: -f(t), bounds=(lo, hi), method="bounded",
                                   options={"xatol": 1e-8})
-            assert abs(x - ref.x) <= 1e-8
-            assert v >= -ref.fun - 1e-15 * max(1.0, abs(ref.fun))
+            assert x == ref.x
+            assert v == -ref.fun
+            assert _polish_calls(f, lo, hi) == ref.nfev
 
 
 def _polish_calls(f, lo, hi):
@@ -275,9 +276,23 @@ def test_golden_max_array_brackets_match_scalar_calls():
         xs, vals = golden_max(f, lo, hi)
         assert xs.shape == vals.shape == lo.shape
         for x, v, a, b in zip(xs, vals, lo, hi):
-            x_ref, _ = golden_max(f, float(a), float(b))
-            assert abs(x - x_ref) <= 1e-8
-            assert v == pytest.approx(f(x), rel=1e-14, abs=1e-15)
+            assert (x, v) == golden_max(f, float(a), float(b))
+
+
+def test_golden_max_calls_f_once_per_step():
+    lo = np.linspace(0.0, 0.45, 10)
+    hi = lo + 0.05
+    for f in PEAKS:
+        shapes = []
+        golden_max(lambda t: shapes.append(np.shape(t)) or f(t), lo, hi)
+        # the first call evaluates the starting points, one more per step
+        assert len(shapes) == max(_polish_calls(f, float(a), float(b)) for a, b in zip(lo, hi))
+        assert shapes == [lo.shape] * len(shapes)
+    # a degenerate bracket (the xi = 1e-4 end case of the band peak) stays put
+    x, v = golden_max(PEAKS[2], 1e-4, 1e-4)
+    assert (x, v) == (1e-4, PEAKS[2](1e-4))
+    xs, vals = golden_max(PEAKS[0], np.array([]), np.array([]))
+    assert xs.shape == vals.shape == (0,)
 
 
 @pytest.mark.parametrize("mid", MODEL_IDS)

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -35,6 +36,8 @@ def test_script_runs_and_writes_its_csv(script, args, csv, header, tmp_path):
     ("band_profile.py", ["--xi", "0.7"]),
     ("bubble_hunt.py", ["--k", "-2"]),
     ("bubble_hunt.py", ["--N", "2"]),
+    # no xi in [0.40, 0.49999] has this collision frequency
+    ("bubble_hunt.py", ["--target", "100"]),
 ])
 def test_script_rejects_bad_input_with_exit_2(script, args, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(transpec.__file__).parents[1]))
@@ -45,3 +48,13 @@ def test_script_rejects_bad_input_with_exit_2(script, args, tmp_path):
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+def test_bubble_hunt_solves_for_the_default_bubble():
+    spec = importlib.util.spec_from_file_location("bubble_hunt", SCRIPTS / "bubble_hunt.py")
+    hunt = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(hunt)
+    model = transpec.make_model("rmkp")
+    xi = hunt.solve_xi(model, 2.0, 0.37916)
+    assert abs(xi - 0.4789021651932456) <= 1e-10
+    assert abs(hunt.collision_frequency(model, 2.0, xi)) == pytest.approx(0.37916, rel=1e-12)
