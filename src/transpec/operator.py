@@ -6,11 +6,10 @@ In the Fourier basis it is diagonal at zero amplitude (entries
 wave profile.  At xi = 0 the zero mode is removed, which realizes the
 mean-zero restriction exactly.
 
-Every entry is i times a real number, so the operator is stored as its real
-generator R, A = iR, and the dense path solves R in real arithmetic.  R has at
-most 13 nonzero diagonals, and they are all that is stored: the dense R is
-built when it is read, and the shift-invert path hands the diagonals to
-scipy.sparse without ever forming a dense matrix.
+Every entry is i times a real number, so the operator is stored as the 13
+nonzero diagonals of its real generator R, A = iR, and both solvers work on R:
+the dense path builds the dense R when it reads it, and the shift-invert path
+factorises the band of R - s without ever forming a dense matrix.
 """
 
 from __future__ import annotations
@@ -198,43 +197,51 @@ def shift_invert_eigs(model: ModelSpec, wave: StokesWave, rho: float, xi: float,
                       N: int, shift: complex, count: int = 6) -> SpectrumResult:
     """The ``count`` eigenvalues nearest ``shift``.
 
-    ARPACK's shift-invert mode: an Arnoldi process on ``(A - shift I)^{-1}``
-    with one sparse LU factorisation per call.  The matrix goes to scipy as its
-    diagonals, so no dense matrix is formed.  scipy is imported here only, so
-    the analytic layers and the dense path run on numpy alone.
+    ARPACK's shift-invert mode on A - shift I = i(R - s), s = -i shift: one
+    banded LU of R - s per call, in real arithmetic for a shift on the
+    imaginary axis.  scipy is imported here only, so the analytic layers and
+    the dense path run on numpy alone.
     """
     import scipy.sparse.linalg as spla
+    from scipy.linalg import get_lapack_funcs
 
     if not 1 <= count <= 20:
         raise ValidationError(f"count must be between 1 and 20, got {count}")
+    if not np.isfinite(shift):
+        raise ValidationError(f"shift must be finite, got {shift}")
     op = assemble_operator(model, wave, rho, xi, N)
     dim = op.dim
     if count >= dim - 1:
         raise ValidationError("count must be below the truncated dimension - 1")
+    s = shift.imag if shift.real == 0 else complex(shift.imag, -shift.real)
+    ab = _shifted_band_layout(op, s)
+    gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))  # d or z by ab's dtype, as ARPACK
+    lu, piv, info = gbtrf(ab, 6, 6, overwrite_ab=True)
+    if info > 0:
+        raise NumericalError(f"banded LU of R - s is exactly singular at shift={shift}")
+    solve = spla.LinearOperator((dim, dim), lambda x: gbtrs(lu, 6, 6, x, piv)[0], dtype=lu.dtype)
     # a roomy Krylov space keeps far shifts convergent (the transformed
     # spectrum clusters when the shift is far from every eigenvalue)
     ncv = min(dim, max(4 * count + 5, 30))
     try:
-        # a fixed start vector makes the result the same on every run
-        ev = spla.eigs(1j * _generator_csc(op), k=count, sigma=shift,
-                       which="LM", ncv=ncv, maxiter=200 * dim, tol=0,
-                       v0=np.ones(dim, dtype=complex), return_eigenvectors=False)
+        # OPinv alone is applied (A gives shape and dtype); a fixed v0 makes every run agree
+        mu = spla.eigs(solve, k=count, sigma=s, OPinv=solve, which="LM", ncv=ncv, tol=0,
+                       maxiter=200 * dim, v0=np.ones(dim, dtype=lu.dtype), return_eigenvectors=False)
     except Exception as exc:
-        raise NumericalError(
-            f"shift-invert Arnoldi iteration failed at shift={shift}: {exc}"
-        ) from exc
-    ev = _sorted_eigs(ev)
+        raise NumericalError(f"shift-invert Arnoldi iteration failed at shift={shift}: {exc}") from exc
+    ev = _sorted_eigs(1j * mu)
     return SpectrumResult(
         eigenvalues=ev, rho=op.rho, xi=op.xi, eps=wave.eps, k=wave.k, N=N,
         max_real=float(np.max(ev.real)),
     )
 
 
-def _generator_csc(op: OperatorMatrix):
-    """R in scipy's CSC format, straight from the bands; stored zeros are dropped."""
-    import scipy.sparse
-
-    return scipy.sparse.dia_array((op.bands, _OFFSETS), shape=(op.dim, op.dim)).tocsc()
+def _shifted_band_layout(op: OperatorMatrix, s: complex) -> np.ndarray:
+    """R - s as LAPACK band storage for kl = ku = 6: ``ab[12 + i - j, j]``, rows 0-5 for fill-in."""
+    ab = np.zeros((19, op.dim), dtype=np.result_type(op.bands, s), order="F")
+    ab[12 - _OFFSETS] = op.bands  # the DIA bands are column-aligned the same way
+    ab[12] -= s
+    return ab
 
 
 def spectrum_at(model: ModelSpec, k: float, eps: float, rho: float, xi: float,

@@ -194,7 +194,7 @@ def test_unwritable_path_exits_2(capsys):
 
 def test_numerical_failure_exits_1(capsys):
     # at eps = 0 the operator is diagonal; a shift equal to the mode-1
-    # diagonal entry makes the sparse LU factorisation exactly singular
+    # diagonal entry makes the banded LU factorisation of R - s exactly singular
     import numpy as np
 
     from transpec import assemble_operator, build_wave, make_model

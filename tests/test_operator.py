@@ -20,7 +20,7 @@ from transpec import (
     theta1_band,
     wave_profile,
 )
-from transpec.operator import _generator_csc
+from transpec.operator import _shifted_band_layout
 from transpec.stokes import profile_coefficients
 from transpec.symbols import MODEL_IDS
 
@@ -335,21 +335,29 @@ def test_shift_invert_is_reproducible():
 @pytest.mark.parametrize("xi", [0.0, 0.3, 0.5])
 @pytest.mark.parametrize("N", [8, 64])
 def test_banded_csc_matches_the_dense_generator(mid, xi, N):
-    import scipy.sparse
-
+    # the band array that shift_invert_eigs factorises unpacks, entry for
+    # entry, to R - s, across the zero-mode gap at xi = 0 as well
     m = make_model(mid, gamma=1.0, beta=1.0, alpha=1.5 if mid == "rm-fkdv-kp" else None)
     wave = build_wave(m, 1.3, 0.05, check=False)
     op = assemble_operator(m, wave, 0.9, xi, N)
     assert op.bands.shape == (13, op.dim)
-    banded, dense = _generator_csc(op), scipy.sparse.csc_array(op.generator)
-    assert np.array_equal(banded.indptr, dense.indptr)
-    assert np.array_equal(banded.indices, dense.indices)
-    assert np.array_equal(banded.data, dense.data)
-    # the zero-mode gap at xi = 0 leaves empty band slots, none of them stored
-    assert np.all(banded.data != 0)
+    for s, dtype in [(0.379, np.float64), (0.379 - 0.05j, np.complex128)]:
+        ab = _shifted_band_layout(op, s)
+        assert ab.shape == (19, op.dim) and ab.dtype == dtype
+        unpacked = np.zeros((op.dim, op.dim), dtype=dtype)
+        for j in range(op.dim):
+            for row in range(19):
+                i = j + row - 12
+                if 0 <= i < op.dim:
+                    unpacked[i, j] = ab[row, j]
+                else:
+                    assert ab[row, j] == 0
+        expected = op.generator - s * np.eye(op.dim)
+        assert unpacked.tobytes() == expected.astype(dtype).tobytes()
 
 
 def test_shift_invert_equals_eigs_on_the_dense_generator():
+    # scipy's own real shift-invert on the dense R, at s = -i * shift
     import scipy.sparse
     import scipy.sparse.linalg as spla
 
@@ -359,10 +367,48 @@ def test_shift_invert_equals_eigs_on_the_dense_generator():
     rho = math.sqrt(collision_rho_squared(m, -1, 0, xi, 2.0))
     si = shift_invert_eigs(m, wave, rho, -xi, 64, shift=0.37916j, count=4)
     op = assemble_operator(m, wave, rho, -xi, 64)
-    ev = spla.eigs(1j * scipy.sparse.csc_array(op.generator), k=4, sigma=0.37916j,
-                   which="LM", ncv=30, maxiter=200 * op.dim, tol=0,
-                   v0=np.ones(op.dim, dtype=complex), return_eigenvectors=False)
-    assert si.eigenvalues.tobytes() == _sorted(ev).tobytes()
+    ev = 1j * spla.eigs(scipy.sparse.csc_array(op.generator), k=4, sigma=0.37916,
+                        which="LM", ncv=30, maxiter=200 * op.dim, tol=0,
+                        v0=np.ones(op.dim), return_eigenvectors=False)
+    assert si.eigenvalues.size == 4
+    for lam in si.eigenvalues:
+        assert np.min(np.abs(ev - lam)) < 1e-13 * max(1.0, abs(lam))
+
+
+@pytest.mark.parametrize("N", [24, 64])
+def test_shift_invert_on_the_axis_is_exactly_mirror_symmetric(N):
+    m = make_model("rmkp", gamma=1.0, beta=1.0)
+    for eps in (0.01, 0.05):
+        wave = build_wave(m, 2.0, eps, check=False)
+        ev = shift_invert_eigs(m, wave, 1.5, 0.5, N, shift=0.38j, count=4).eigenvalues
+        assert np.max(ev.real) > 0.01
+        assert np.array_equal(_sorted(ev), _sorted(-np.conj(ev)))
+        # eigenvalues mu = -i lambda of the real generator that are real
+        on_axis = ev[(-1j * ev).imag == 0]
+        assert on_axis.size == 2 and np.all(on_axis.real == 0)
+
+
+def test_shift_invert_count_3_on_the_axis():
+    # a shift on the axis is equidistant from both members of a mirror pair;
+    # here the pair at +-0.1 ties for third place behind two axis
+    # eigenvalues, and three eigenvalues still come back
+    m = make_model("rmkp", gamma=1.0, beta=1.0)
+    wave = build_wave(m, 2.0, 0.05, check=False)
+    for N in (24, 64):
+        dense = eig_dense(assemble_operator(m, wave, 1.5, 0.5, N)).eigenvalues
+        for shift in (119j, 120j):
+            si = shift_invert_eigs(m, wave, 1.5, 0.5, N, shift=shift, count=3)
+            assert si.eigenvalues.size == 3
+            for lam in si.eigenvalues:
+                assert np.min(np.abs(dense - lam)) < 1e-10
+
+
+@pytest.mark.parametrize("shift", [complex(math.nan, 0.0), complex(0.0, math.inf)])
+def test_shift_invert_rejects_a_non_finite_shift(shift):
+    m = make_model("rmkp", gamma=1.0, beta=1.0)
+    wave = build_wave(m, 2.0, 0.05, check=False)
+    with pytest.raises(ValidationError, match="shift"):
+        shift_invert_eigs(m, wave, 1.5, 0.5, 24, shift=shift, count=4)
 
 
 def test_shift_invert_beyond_the_dense_limit():
