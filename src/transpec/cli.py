@@ -27,13 +27,11 @@ _TABLE_DIGITS = 9
 # --- deterministic serialization -------------------------------------------
 
 def _fmt(x: float, digits: int = _JSON_DIGITS) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "NaN"
-        if math.isinf(x):
-            return "Infinity" if x > 0 else "-Infinity"
-        return format(x, f".{digits}g")
-    return str(x)
+    if math.isnan(x):
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return format(x, f".{digits}g")
 
 
 def _leaf(obj) -> Optional[str]:
@@ -390,12 +388,16 @@ def _with_config(parser: argparse.ArgumentParser, argv: list) -> list:
 
 
 def exit_code(call) -> int:
-    """Run ``call()``: 0, or 1 after a numerical failure and 2 after bad input or
-    an unwritable path, each reported on stderr."""
+    """Run ``call()``: 0, or 1 after a numerical failure (an overflow or a zero
+    division included) and 2 after bad input or an unwritable path, each
+    reported on stderr."""
     try:
         return call() or 0
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except (TranspecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

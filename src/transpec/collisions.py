@@ -10,7 +10,7 @@ form for the colliding transverse wavenumber rho^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -38,12 +38,7 @@ class CollisionRecord:
     at_origin: bool
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n, "m": self.m, "xi": self.xi, "k": self.k,
-            "rho_c": self.rho_c, "omega_c": self.omega_c,
-            "krein_n": self.krein_n, "krein_m": self.krein_m,
-            "opposite_krein": self.opposite_krein, "at_origin": self.at_origin,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def omega(model: ModelSpec, n: int, rho: float, xi: float, k: float) -> float:
@@ -90,12 +85,8 @@ def collision_rho_squared(model: ModelSpec, n: int, m: int, xi, k):
 
 
 def is_origin_collision(n: int, theta: int, xi: float) -> bool:
-    """True exactly for the two patterns that collide at zero frequency."""
-    if theta % 2 == 0 and n == -theta // 2 and abs(xi) < 1e-12:
-        return True
-    if theta % 2 == 1 and n == -(theta + 1) // 2 and abs(xi - 0.5) < 1e-12:
-        return True
-    return False
+    """True for the mirror pair n + xi = -(n + theta + xi), which collides at zero frequency."""
+    return abs(xi + (n + theta / 2)) < 1e-12
 
 
 def _positive_windows(f, grid: np.ndarray, vals: np.ndarray, lo_open: float,
@@ -141,8 +132,6 @@ def collision_floquet_window(model: ModelSpec, n: int, theta: int, k: float):
     """xi-intervals in (0, 1/2] on which the (n, n+theta) collision exists at this k."""
     if theta < 1:
         raise ValidationError("theta must be a positive integer")
-    if not k > 0:
-        raise DomainError("wavenumber must be positive")
     m = n + theta
     grid = np.linspace(0.5 / 4096, 0.5, 4096)
     # composite indices must stay nonzero on the scan

@@ -161,9 +161,11 @@ def _rounding_floor(ev: np.ndarray) -> float:
     return 10.0 * np.finfo(float).eps * max(float(np.max(np.abs(ev))), 1.0)
 
 
-def _sorted_eigs(ev: np.ndarray) -> np.ndarray:
-    order = np.lexsort((ev.real, ev.imag))
-    return ev[order]
+def _result(op: OperatorMatrix, ev: np.ndarray) -> SpectrumResult:
+    """The spectrum ``ev`` of ``op``, sorted by imaginary part, then real part."""
+    ev = ev[np.lexsort((ev.real, ev.imag))]
+    return SpectrumResult(eigenvalues=ev, rho=op.rho, xi=op.xi, eps=op.wave.eps, k=op.wave.k,
+                          N=op.N, max_real=float(np.max(ev.real)))
 
 
 def eig_dense(op: OperatorMatrix) -> SpectrumResult:
@@ -186,11 +188,7 @@ def eig_dense(op: OperatorMatrix) -> SpectrumResult:
         raise NumericalError(
             f"dense eigensolver returned non-finite values at rho={op.rho}, xi={op.xi}"
         )
-    ev = _sorted_eigs(ev)
-    return SpectrumResult(
-        eigenvalues=ev, rho=op.rho, xi=op.xi, eps=op.wave.eps, k=op.wave.k,
-        N=op.N, max_real=float(np.max(ev.real)),
-    )
+    return _result(op, ev)
 
 
 def shift_invert_eigs(model: ModelSpec, wave: StokesWave, rho: float, xi: float,
@@ -229,11 +227,7 @@ def shift_invert_eigs(model: ModelSpec, wave: StokesWave, rho: float, xi: float,
                        maxiter=200 * dim, v0=np.ones(dim, dtype=lu.dtype), return_eigenvectors=False)
     except Exception as exc:
         raise NumericalError(f"shift-invert Arnoldi iteration failed at shift={shift}: {exc}") from exc
-    ev = _sorted_eigs(1j * mu)
-    return SpectrumResult(
-        eigenvalues=ev, rho=op.rho, xi=op.xi, eps=wave.eps, k=wave.k, N=N,
-        max_real=float(np.max(ev.real)),
-    )
+    return _result(op, 1j * mu)
 
 
 def _shifted_band_layout(op: OperatorMatrix, s: complex) -> np.ndarray:

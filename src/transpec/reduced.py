@@ -31,7 +31,8 @@ _SQRT_EPS = math.sqrt(2.2e-16)
 #: 36 cells around the best point.
 _XI_SCAN = np.linspace(1e-4, 0.5, 37)
 
-#: Models whose onset tables are kept, most recently used first.
+#: Models whose onset tables are kept, most recently used first; a model is
+#: its key, so an equal model reuses its tables.
 _ONSET_MEMO_SIZE = 64
 
 #: Column keys of the stability atlas, in presentation order.
@@ -108,27 +109,6 @@ def _channel_verdict(model: ModelSpec, unstable, thresholds: Dict[str, float], k
     tag = tags[not kdv_family] if unstable or onsets else ("t3" if kdv_family else "t7")
     return Verdict("unstable" if unstable else "stable", tag, thresholds,
                    ((condition, bool(unstable)),))
-
-
-def _per_model(compute):
-    """``compute(model)``, kept for the last ``_ONSET_MEMO_SIZE`` models by value.
-
-    ``ModelSpec`` is frozen, so an equal model has the same answer.  A model
-    that cannot be hashed (a custom symbol whose callable is unhashable) is
-    computed on every call.
-    """
-    cached = functools.lru_cache(maxsize=_ONSET_MEMO_SIZE)(compute)
-
-    @functools.wraps(compute)
-    def lookup(model: ModelSpec):
-        try:
-            hash(model)
-        except TypeError:
-            return compute(model)
-        return cached(model)
-
-    lookup.cache_clear = cached.cache_clear
-    return lookup
 
 
 def golden_max(f, lo, hi):
@@ -249,7 +229,7 @@ def long_wavelength_lambda2(model: ModelSpec, k: float, eps: float, rho: float) 
     return -(rho**2) * (rho**2 + k**2 * eps**2 * lw_margin(model, k))
 
 
-@_per_model
+@functools.lru_cache(maxsize=_ONSET_MEMO_SIZE)
 def _lw_onsets(model: ModelSpec) -> Tuple[float, ...]:
     """Every k in [1e-3, 1e3] where the long-wavelength margin changes sign."""
     grid = np.geomspace(1e-3, 1e3, 513)
@@ -275,8 +255,6 @@ def theta1_band(model: ModelSpec, k: float, eps: float, xi: float) -> Theta1Band
     """
     if not (0 < xi <= 0.5):
         raise DomainError(f"xi must lie in (0, 1/2], got {xi}")
-    if not k > 0:
-        raise DomainError("wavenumber must be positive")
     rho_c_sq = collision_rho_squared(model, -1, 0, xi, k)
     halfwidth = 2.0 * model.alpha1 * k**2 * (xi * (1 - xi)) ** 1.5 * abs(eps)
     growth = model.alpha1 * k**2 * abs(eps) * math.sqrt(xi * (1 - xi))
@@ -313,7 +291,7 @@ def _max_band_rho_sq(model: ModelSpec, k):
             np.where(short, scan_max, peak)[()])
 
 
-@_per_model
+@functools.lru_cache(maxsize=_ONSET_MEMO_SIZE)
 def _band_onsets(model: ModelSpec) -> Tuple[float, ...]:
     """Every k in [1e-3, 1e3] where the band peak max over xi of rho_c^2 changes sign."""
     grid = np.geomspace(1e-3, 1e3, 161)
@@ -404,9 +382,8 @@ def atlas(gamma: float = 1.0, fkdv_alpha: float = 1.5) -> Dict[str, Dict[str, Ve
 
     table: Dict[str, Dict[str, Verdict]] = {}
     for mid in ATLAS_MODELS:
-        alpha = fkdv_alpha if mid == "rm-fkdv-kp" else None
-        pos = make_model(mid, gamma=gamma, beta=1.0, alpha=alpha)
-        neg = make_model(mid, gamma=gamma, beta=-1.0, alpha=alpha)
+        pos = make_model(mid, gamma=gamma, beta=1.0, alpha=fkdv_alpha)
+        neg = make_model(mid, gamma=gamma, beta=-1.0, alpha=fkdv_alpha)
         table[mid] = {
             "lw_periodic_beta_pos": cell(_lw_margin_cleared(pos, _ATLAS_K) < 0, pos, "t1", "t5",
                                          _LW_EXISTS),

@@ -9,7 +9,7 @@ nonlinearity switches ``alpha1``/``alpha2`` and a rotation parameter
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -21,23 +21,13 @@ from .errors import DomainError, NumericalError, ValidationError
 _SERIES_CUTOFF = 1e-4
 
 
-def _whitham_rule(x: np.ndarray) -> np.ndarray:
-    # sqrt(tanh x / x) with the series 1 - x^2/6 near x = 0
+def _near_zero(x: np.ndarray, series, closed) -> np.ndarray:
+    """``closed(x)``, with ``series(x)`` below the cutoff where it has a removable singularity."""
+    x = np.atleast_1d(x)
     out = np.empty_like(x)
     small = x < _SERIES_CUTOFF
-    out[small] = 1.0 - x[small] ** 2 / 6.0
-    xs = x[~small]
-    out[~small] = np.sqrt(np.tanh(xs) / xs)
-    return out
-
-
-def _ilw_rule(x: np.ndarray) -> np.ndarray:
-    # x * coth(x) with the series 1 + x^2/3 near x = 0
-    out = np.empty_like(x)
-    small = x < _SERIES_CUTOFF
-    out[small] = 1.0 + x[small] ** 2 / 3.0
-    xs = x[~small]
-    out[~small] = xs / np.tanh(xs)
+    out[small] = series(x[small])
+    out[~small] = closed(x[~small])
     return out
 
 
@@ -46,8 +36,8 @@ _RULES = {
     "kdv": lambda s, x: x * x,
     "bo": lambda s, x: x.copy(),
     "fkdv": lambda s, x: 1.0 + x**s.alpha,
-    "whitham": lambda s, x: _whitham_rule(np.atleast_1d(x)),
-    "ilw": lambda s, x: _ilw_rule(np.atleast_1d(x)),
+    "whitham": lambda s, x: _near_zero(x, lambda y: 1.0 - y**2 / 6.0, lambda y: np.sqrt(np.tanh(y) / y)),
+    "ilw": lambda s, x: _near_zero(x, lambda y: 1.0 + y**2 / 3.0, lambda y: y / np.tanh(y)),
     "reduced": lambda s, x: np.ones_like(x),
 }
 
@@ -63,7 +53,8 @@ class DispersionSymbol:
 
     id: str
     alpha: Optional[float] = None
-    fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    # compared by ==, identity for a plain function, but not hashed: every symbol hashes
+    fn: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, hash=False)
 
     def __post_init__(self):
         if self.id == "fkdv":

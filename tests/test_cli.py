@@ -210,6 +210,24 @@ def test_numerical_failure_exits_1(capsys):
     assert "shift" in err
 
 
+@pytest.mark.parametrize("argv", [
+    "wave --k 1e200",
+    "wave --k 1e-200",
+    "spectrum --rho 1 --xi 0.3 --N 8 --eps 1e200",
+    "spectrum --rho 1e200 --xi 0.3 --N 8",
+])
+def test_overflow_is_a_numerical_failure(argv):
+    # a child process, since numpy may warn before Python float arithmetic
+    # overflows or divides by zero, and the suite turns warnings into errors
+    env = dict(os.environ, PYTHONPATH=str(Path(transpec.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "transpec.cli", *argv.split()],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1].startswith(
+        ("numerical failure: OverflowError", "numerical failure: ZeroDivisionError"))
+    assert "Traceback" not in proc.stderr
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"model": "rmkp", "gamma": 1.0, "beta": 1.0, "k": 2.0}))

@@ -439,7 +439,7 @@ def test_mutating_a_verdict_leaves_the_next_one_alone():
         cell.thresholds["k_witness"] = 1.0
 
 
-def test_a_model_that_cannot_be_hashed_still_classifies():
+def test_a_model_with_an_unhashable_callable_is_memoised(monkeypatch):
     class Square:
         __hash__ = None
 
@@ -447,11 +447,30 @@ def test_a_model_that_cannot_be_hashed_still_classifies():
             return x * x
 
     unhashable = ModelSpec(custom(Square()), 1.0, 1, 0, 1.0)
-    with pytest.raises(TypeError):
-        hash(unhashable)
+    hash(unhashable)  # the callable is left out of the hash
     hashable = ModelSpec(custom(lambda x: x * x), 1.0, 1, 0, 1.0)
-    for k in (0.8, 2.0, 0.8):
-        assert classify(unhashable, k).as_dict() == classify(hashable, k).as_dict()
+    first = classify(unhashable, 0.8)
+    brackets = []
+
+    def counted(f, lo, hi):
+        brackets.append(np.size(lo))
+        return golden_max(f, lo, hi)
+
+    monkeypatch.setattr(reduced, "golden_max", counted)
+    second = classify(unhashable, 2.0)
+    assert brackets == [1]  # the band onsets came from the memo
+    assert first.as_dict() == classify(hashable, 0.8).as_dict()
+    assert second.as_dict() == classify(hashable, 2.0).as_dict()
+
+
+def test_custom_models_that_differ_only_in_their_callable_keep_their_own_onsets():
+    square = ModelSpec(custom(lambda x: x * x), 1.0, 1, 0, 1.0)
+    quartic = ModelSpec(custom(lambda x: 1 + x * x + 0.5 * x**4), 1.0, 1, 0, 1.0)
+    assert hash(square) == hash(quartic) and square != quartic
+    warm = [classify(m, 0.8).thresholds["k_lw"] for m in (square, quartic, square)]
+    assert warm[0] == warm[2] != warm[1]
+    _forget_onsets()
+    assert classify(quartic, 0.8).thresholds["k_lw"] == warm[1]
 
 
 def test_warm_classify_polishes_only_its_own_k(monkeypatch):
