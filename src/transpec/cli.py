@@ -390,9 +390,12 @@ def _with_config(parser: argparse.ArgumentParser, argv: list) -> list:
 def exit_code(call) -> int:
     """Run ``call()``: 0, or 1 after a numerical failure (an overflow or a zero
     division included) and 2 after bad input or an unwritable path, each
-    reported on stderr."""
+    reported on stderr in one line.  numpy's overflow, invalid and divide
+    warnings are raised as ``FloatingPointError``, so they fail the call
+    instead of printing a warning and going on with inf or nan."""
     try:
-        return call() or 0
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return call() or 0
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1

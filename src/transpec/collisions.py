@@ -52,7 +52,7 @@ def omega(model: ModelSpec, n: int, rho: float, xi: float, k: float) -> float:
         raise DomainError("omega undefined at n + xi = 0")
     if not (np.isfinite(k) and k > 0):
         raise DomainError(f"wavenumber must be positive, got {k}")
-    return _omega_at_zero_rho(model, p, k) - rho**2 / p
+    return float(_omega_at_zero_rho(model, p, k) - rho**2 / p)
 
 
 def krein_signature(model: ModelSpec, n: int, rho: float, xi: float, k: float) -> int:
@@ -70,8 +70,6 @@ def collision_rho_squared(model: ModelSpec, n: int, m: int, xi, k):
     """
     xi = np.asarray(xi, dtype=float)
     kk = np.asarray(k, dtype=float)
-    if kk.ndim > xi.ndim:  # the stacked pair [p, q] below must broadcast against k
-        xi = np.broadcast_to(xi, np.broadcast_shapes(xi.shape, kk.shape))
     p, q = n + xi, m + xi
     if not (p.all() and q.all()):
         raise DomainError("collision undefined when a composite index vanishes")
@@ -79,9 +77,17 @@ def collision_rho_squared(model: ModelSpec, n: int, m: int, xi, k):
         raise DomainError("collision needs two distinct modes")
     if not ((kk > 0) & np.isfinite(kk)).all():
         raise DomainError(f"wavenumber must be positive, got {k}")
-    ap, aq = _omega_at_zero_rho(model, np.array([p, q]), kk)
-    rho_sq = p * q * (ap - aq) / (q - p)
+    rho_sq = _rho_sq(model, p, q, kk)
     return rho_sq if rho_sq.ndim else float(rho_sq)
+
+
+def _rho_sq(model: ModelSpec, p, q, k):
+    """rho^2 at which the modes of composite indices p and q share a frequency.
+
+    The kernel behind ``collision_rho_squared``: no check of its inputs, which
+    broadcast; a numpy scalar stays a numpy scalar.
+    """
+    return p * q * (_omega_at_zero_rho(model, p, k) - _omega_at_zero_rho(model, q, k)) / (q - p)
 
 
 def is_origin_collision(n: int, theta: int, xi: float) -> bool:

@@ -18,7 +18,7 @@ from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
-from .collisions import collision_rho_squared
+from .collisions import _rho_sq, collision_rho_squared
 from .errors import DomainError
 from .stokes import _eta2, _resonance_mismatch, check_resonance
 from .symbols import ModelSpec, _sign_changes, make_model
@@ -120,15 +120,16 @@ def golden_max(f, lo, hi):
     best points, or a golden-section step where it is not acceptable.  ``lo``
     and ``hi`` may be arrays of brackets.  Each bracket keeps its own Brent
     state in Python floats, and ``f`` gets one array call per step, on an
-    array of the brackets' shape that holds every bracket's next point; a
-    converged bracket resubmits its best point.  Returns the best point found
-    and its value.
+    array of the brackets' shape (a numpy scalar for a scalar bracket) that
+    holds every bracket's next point; a converged bracket resubmits its best
+    point.  Returns the best point found and its value.
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     shape = lo.shape
 
     def neg_f(points):
-        return (-np.asarray(f(np.reshape(points, shape)), dtype=float)).ravel().tolist()
+        values = np.asarray(f(np.array(points).reshape(shape)[()]), dtype=float)
+        return (-values.ravel()).tolist()
 
     ends = list(zip(lo.ravel().tolist(), hi.ravel().tolist()))
     points = [a + _CGOLD * (b - a) for a, b in ends]
@@ -271,10 +272,12 @@ def _max_band_rho_sq(model: ModelSpec, k):
     is even (J1), so a peak next to the xi = 1/2 end is polished on the
     bracket reflected across it, where it is interior, and folded back.
     Where the polish falls short of the scan's best point, that point is
-    returned.  Broadcasts over an array of k.
+    returned.  Broadcasts over an array of k, which its callers have checked
+    to be finite and positive; every xi it tries lies in (0, 1), so neither
+    composite index vanishes.
     """
-    k = np.asarray(k, dtype=float)
-    scan = collision_rho_squared(model, -1, 0, _XI_SCAN, k[..., None])
+    k = np.asarray(k, dtype=float)[()]
+    scan = _rho_sq(model, _XI_SCAN - 1.0, _XI_SCAN, k[..., None])
     top = np.argmax(scan, axis=-1)
     best = np.clip(top, 1, _XI_SCAN.size - 2)
     lo = _XI_SCAN[best - 1]
@@ -282,9 +285,10 @@ def _max_band_rho_sq(model: ModelSpec, k):
     # a best scan point at the xi = 1e-4 end that falls away to its right is
     # the peak; its bracket shrinks to that point instead of creeping to it
     if (top == 0).any():
-        rise = collision_rho_squared(model, -1, 0, _XI_SCAN[0] + 1e-8, k) >= scan[..., 0]
+        edge = _XI_SCAN[0] + 1e-8
+        rise = _rho_sq(model, edge - 1.0, edge, k) >= scan[..., 0]
         hi = np.where((top == 0) & ~rise, lo, hi)
-    xi, peak = golden_max(lambda x: collision_rho_squared(model, -1, 0, x, k), lo, hi)
+    xi, peak = golden_max(lambda x: _rho_sq(model, x - 1.0, x, k), lo, hi)
     scan_max = scan.max(axis=-1)
     short = peak < scan_max
     return (np.where(short, _XI_SCAN[top], np.minimum(xi, 1.0 - xi))[()],

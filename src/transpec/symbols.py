@@ -21,14 +21,15 @@ from .errors import DomainError, NumericalError, ValidationError
 _SERIES_CUTOFF = 1e-4
 
 
-def _near_zero(x: np.ndarray, series, closed) -> np.ndarray:
-    """``closed(x)``, with ``series(x)`` below the cutoff where it has a removable singularity."""
-    x = np.atleast_1d(x)
-    out = np.empty_like(x)
-    small = x < _SERIES_CUTOFF
-    out[small] = series(x[small])
-    out[~small] = closed(x[~small])
-    return out
+def _near_zero(x, series, closed):
+    """``closed(x)``, with ``series(x)`` below the cutoff where it has a removable singularity.
+
+    Keeps the shape of ``x``, a scalar included; each branch sees only values
+    on its own side of the cutoff, so neither overflows nor divides by zero
+    for the other.
+    """
+    return np.where(x < _SERIES_CUTOFF, series(np.minimum(x, _SERIES_CUTOFF)),
+                    closed(np.maximum(x, _SERIES_CUTOFF)))
 
 
 # Built-in symbols: id -> rule on x = |kappa| given the symbol.
@@ -48,7 +49,7 @@ class DispersionSymbol:
 
     ``id`` selects the evaluation rule: one of ``kdv``, ``bo``, ``fkdv``
     (needs ``alpha > 1/2``), ``whitham``, ``ilw``, ``reduced`` (constant 1) or
-    ``custom`` (callable ``fn``).
+    ``custom`` (callable ``fn``, given kappa as an array or a numpy ``float64``).
     """
 
     id: str
@@ -65,18 +66,6 @@ class DispersionSymbol:
                 raise ValidationError("custom symbol needs a callable")
         elif self.id not in _RULES:
             raise ValidationError(f"unknown dispersion symbol id {self.id!r}")
-
-    def evaluate(self, kappa):
-        """Evaluate j(kappa); even in kappa by construction for built-ins."""
-        kappa = np.asarray(kappa, dtype=float)
-        if not np.isfinite(kappa).all():
-            raise DomainError("dispersion symbol evaluated at non-finite kappa")
-        if self.id == "custom":
-            out = np.asarray(self.fn(kappa), dtype=float)
-        else:
-            out = _RULES[self.id](self, np.abs(kappa))
-        out = out.reshape(kappa.shape)
-        return out if out.ndim else float(out)
 
 
 def fkdv(alpha: float) -> DispersionSymbol:
@@ -123,8 +112,25 @@ class ModelSpec:
             raise ValidationError(f"alpha2 must be -1 or 0, got {self.alpha2}")
 
     def j_eff(self, kappa):
-        """Effective symbol beta * j(kappa)."""
-        return self.beta * self.symbol.evaluate(kappa)
+        """Effective symbol beta * j(kappa); even in kappa by construction for built-ins."""
+        kappa = np.asarray(kappa, dtype=float)
+        if not np.isfinite(kappa).all():
+            raise DomainError("dispersion symbol evaluated at non-finite kappa")
+        out = _j(self, kappa).reshape(kappa.shape)
+        return out if out.ndim else float(out)
+
+
+def _j(model: ModelSpec, x):
+    """beta * j(x), with no check of x: the kernel behind ``j_eff``.
+
+    Callers pass finite x, checked where a public call entered; a scalar
+    comes back as a numpy scalar, and a custom ``fn`` gets a float64 array or
+    a numpy ``float64``.
+    """
+    s = model.symbol
+    if s.id == "custom":
+        return model.beta * np.asarray(s.fn(np.asarray(x, dtype=float)[()]), dtype=float)
+    return model.beta * _RULES[s.id](s, np.abs(x))
 
 
 def _omega_at_zero_rho(model: ModelSpec, p, k):
@@ -133,7 +139,7 @@ def _omega_at_zero_rho(model: ModelSpec, p, k):
     The closed form gamma (p - 1/p) + k^2 p (j(k) - j(k p)) behind every
     collision, resonance and verdict; broadcasts over arrays of p and k.
     """
-    return model.gamma * (p - 1.0 / p) + k**2 * p * (model.j_eff(k) - model.j_eff(k * p))
+    return model.gamma * (p - 1.0 / p) + k**2 * p * (_j(model, k) - _j(model, k * p))
 
 
 def _sign_changes(f, grid, values, xtol: float, signs=None) -> np.ndarray:

@@ -1,6 +1,9 @@
 """Source layout checks that need only the standard library."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import transpec
@@ -38,3 +41,21 @@ def test_every_private_module_name_is_used():
     unused = [f"{module}:{name}" for module, tree in trees.items()
               for name in _private_definitions(tree) if name not in used]
     assert unused == []
+
+
+#: Top-level modules that ``import transpec.cli`` may load beyond numpy's own.
+#: Start-up time is most of a command's run, and an import added here (scipy
+#: alone takes tens of milliseconds) slows every command.
+CLI_IMPORTS = {"transpec", "argparse", "json", "_json", "dataclasses", "copy", "gettext",
+               "__future__"}
+
+
+def test_the_cli_imports_nothing_beyond_numpy_and_a_few_standard_modules():
+    code = ("import sys, numpy\n"
+            "before = set(sys.modules)\n"
+            "import transpec.cli\n"
+            "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))")
+    env = dict(os.environ, PYTHONPATH=str(Path(transpec.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert set(proc.stdout.split()) <= CLI_IMPORTS

@@ -9,9 +9,12 @@ from transpec import (
     ResonanceError,
     atlas,
     classify,
+    enumerate_potentially_unstable,
+    krein_signature,
     long_wavelength_lambda2,
     long_wavelength_verdict,
     make_model,
+    omega,
     theta1_band,
     theta1_verdict,
 )
@@ -295,16 +298,54 @@ def test_golden_max_calls_f_once_per_step():
     assert xs.shape == vals.shape == (0,)
 
 
-@pytest.mark.parametrize("mid", MODEL_IDS)
-def test_band_peak_over_a_k_array_matches_scalar_calls(mid):
-    m = make_model(mid, gamma=1.0, beta=-1.0 if mid == "rm-whitham-kp" else 1.0,
-                   alpha=1.5 if mid == "rm-fkdv-kp" else None)
+#: Two custom symbols: a smooth monotone one, and one with two band peaks in xi.
+CUSTOM_SYMBOLS = {
+    "sqrt": lambda x: np.sqrt(1.0 + x * x),
+    "cos": lambda x: x * x + 3.9 * np.cos(13.7 * x),
+}
+
+
+def _check_verdicts_match_the_array_peak(m):
+    # the scalar polish runs on numpy scalars, the array one on arrays; they
+    # may differ in the last bits only (numpy's scalar and array power differ)
     ks = np.geomspace(1e-2, 50.0, 23)
     xis, peaks = _max_band_rho_sq(m, ks)
-    for k, xi, v in zip(ks, xis, peaks):
-        xi_ref, v_ref = _max_band_rho_sq(m, float(k))
-        assert abs(v - v_ref) <= 1e-12 * max(1.0, abs(v_ref))
-        assert xi == pytest.approx(xi_ref, abs=1e-8)
+    for k, xi, v in zip(ks.tolist(), xis, peaks):
+        t = theta1_verdict(m, k).thresholds
+        assert abs(v - t["rho_c_sq_max"]) <= 1e-12 * max(1.0, abs(v))
+        assert xi == pytest.approx(t["xi_star"], abs=1e-8)
+
+
+@pytest.mark.parametrize("mid", MODEL_IDS)
+def test_band_peak_over_a_k_array_matches_scalar_calls(mid):
+    for beta in (1.0, -1.0):
+        _check_verdicts_match_the_array_peak(_named(mid, beta))
+
+
+@pytest.mark.parametrize("name", sorted(CUSTOM_SYMBOLS))
+def test_custom_band_peak_over_a_k_array_matches_scalar_calls(name):
+    for beta in (1.0, -1.0):
+        model = ModelSpec(custom(CUSTOM_SYMBOLS[name]), beta, 1, 0, 1.0)
+        _check_verdicts_match_the_array_peak(model)
+
+
+def test_scalar_results_are_builtin_types():
+    # the kernels keep numpy scalars; a public result is a Python float, int
+    # or bool, which every JSON writer takes (a numpy.bool_ is no bool)
+    models = ([_named(mid, beta) for mid in MODEL_IDS for beta in (1.0, -1.0)]
+              + [ModelSpec(custom(fn), beta, 1, 0, 1.0)
+                 for fn in CUSTOM_SYMBOLS.values() for beta in (1.0, -1.0)])
+    for m in models:
+        k = 1.3
+        assert type(omega(m, 1, 0.5, 0.25, k)) is float
+        assert type(krein_signature(m, 1, 0.5, 0.25, k)) is int
+        assert type(collision_rho_squared(m, -1, 0, 0.25, k)) is float
+        assert type(reduced.lw_margin(m, k)) is float
+        records = [r for theta in (1, 2, 3) for pert in ("periodic", "nonperiodic")
+                   for kk in (k, None) for r in enumerate_potentially_unstable(m, theta, pert, kk)]
+        assert records
+        for r in records:
+            assert {type(v) for v in r.as_dict().values()} <= {int, float, bool}
 
 
 def test_band_peak_finds_the_higher_of_two_peaks():

@@ -9,8 +9,10 @@ from transpec import (
     DomainError,
     NumericalError,
     ValidationError,
+    build_wave,
     classify,
     make_model,
+    omega,
 )
 from transpec.collisions import _positive_windows
 from transpec.reduced import _lw_margin_raw, _max_band_rho_sq
@@ -19,7 +21,10 @@ from transpec.symbols import (
     MODEL_IDS,
     DispersionSymbol,
     ModelSpec,
+    _SERIES_CUTOFF,
+    _near_zero,
     _sign_changes,
+    custom,
     fkdv,
 )
 
@@ -67,6 +72,52 @@ def test_evenness_machine_precision(mid):
 def test_evenness_property(kappa):
     m = make_model("rm-whitham-kp")
     assert m.j_eff(kappa) == m.j_eff(-kappa)
+
+
+def _masked_near_zero(x, series, closed):
+    """The boolean-mask form of ``_near_zero``, the reference for its ``np.where`` form."""
+    x = np.atleast_1d(x)
+    out = np.empty_like(x)
+    small = x < _SERIES_CUTOFF
+    out[small] = series(x[small])
+    out[~small] = closed(x[~small])
+    return out
+
+
+@pytest.mark.parametrize("series, closed", [
+    (lambda y: 1.0 - y**2 / 6.0, lambda y: np.sqrt(np.tanh(y) / y)),
+    (lambda y: 1.0 + y**2 / 3.0, lambda y: y / np.tanh(y)),
+], ids=["whitham", "ilw"])
+def test_near_zero_is_bitwise_the_masked_form(series, closed):
+    around = [1e-4]
+    for direction in (0.0, 1.0):
+        x = 1e-4
+        for _ in range(60):
+            x = np.nextafter(x, direction)
+            around.append(x)
+    x = np.concatenate([[0.0], np.geomspace(1e-12, 1e3, 4000), np.linspace(5e-5, 2e-4, 2000),
+                        around, [-1e-5, -1.0, -30.0]])
+    assert x.size == 6125
+    ref = _masked_near_zero(x, series, closed)
+    assert _near_zero(x, series, closed).tobytes() == ref.tobytes()
+    scalars = np.array([_near_zero(v, series, closed) for v in x.tolist()])
+    assert scalars.tobytes() == ref.tobytes()
+
+
+def test_a_custom_callable_may_receive_a_numpy_scalar():
+    seen = set()
+
+    def square(x):
+        seen.add(type(x))
+        return x * x
+
+    m = ModelSpec(custom(square), 1.0, 1, 0, 1.0)
+    v = classify(m, 2.0)
+    # omega and the wave pass Python floats in; the callable sees float64 only
+    assert omega(m, 1, 0.5, 0.25, 2.0) == omega(make_model("rmkp"), 1, 0.5, 0.25, 2.0)
+    build_wave(m, 2.0)
+    assert seen == {np.float64, np.ndarray}
+    assert v.thresholds == classify(make_model("rmkp"), 2.0).thresholds
 
 
 def test_model_validation():
