@@ -13,10 +13,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from scipy.optimize import brentq
 
 from transpec import DomainError, collision_rho_squared, detect_bubbles, omega, sweep
 from transpec.cli import csv_lines, dumps, exit_code, finite, model_from, model_options, svg_plot
-from transpec.symbols import _sign_changes
 
 
 def collision_frequency(model, k, xi):
@@ -28,14 +28,16 @@ def collision_frequency(model, k, xi):
 
 def solve_xi(model, k, target, lo=0.40, hi=0.49999):
     """The lowest xi in [lo, hi] whose collision frequency magnitude is ``target``."""
-    def mismatch(xis):
-        return np.array([abs(collision_frequency(model, k, xi)) - target for xi in xis])
+    def mismatch(xi):
+        return abs(collision_frequency(model, k, xi)) - target
 
     grid = np.linspace(lo, hi, 101)
-    roots = _sign_changes(mismatch, grid, mismatch(grid), 1e-14)
-    if not roots.size:
+    values = np.array([mismatch(xi) for xi in grid])
+    # a NaN end, where the pair does not collide, fails the comparison
+    cells = np.flatnonzero(values[:-1] * values[1:] < 0)
+    if not cells.size:
         raise DomainError(f"no xi in [{lo}, {hi}] has collision frequency magnitude {target}")
-    return float(roots[0])
+    return brentq(mismatch, grid[cells[0]], grid[cells[0] + 1], xtol=1e-14)
 
 
 def main():

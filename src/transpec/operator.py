@@ -289,39 +289,25 @@ def detect_bubbles(results: Sequence[SpectrumResult],
     mean pair midpoint.
     """
     finite = [r for r in results if r.error is None and r.eigenvalues.size]
-    if not finite:
-        return []
-    if threshold is None:
+    if threshold is None and finite:
         threshold = max(_rounding_floor(r.eigenvalues) for r in finite)
-    hits = []  # (imag of midpoint, midpoint, growth, xi, rho)
-    for r in finite:
-        ev = r.eigenvalues
-        for lam in ev[ev.real > threshold]:
-            partner = ev[np.argmin(np.abs(ev - (-np.conj(lam))))]
-            mid = 0.5 * (lam + partner)
-            hits.append((float(mid.imag), mid, float(lam.real), r.xi, r.rho))
-    if not hits:
+    growing = [r for r in finite if r.max_real > threshold]
+    if not growing:
         return []
-    hits.sort(key=lambda h: h[0])
-    bubbles = []
-    cluster = [hits[0]]
-    for h in hits[1:]:
-        if h[0] - cluster[-1][0] <= 0.05:
-            cluster.append(h)
-        else:
-            bubbles.append(_summarize_cluster(cluster))
-            cluster = [h]
-    bubbles.append(_summarize_cluster(cluster))
-    return bubbles
-
-
-def _summarize_cluster(cluster) -> Bubble:
-    mids = np.array([c[1] for c in cluster])
-    xis = [c[3] for c in cluster]
-    rhos = [c[4] for c in cluster]
-    return Bubble(
-        center=complex(np.mean(mids)),
-        max_growth=max(c[2] for c in cluster),
-        xi_range=(min(xis), max(xis)),
-        rho=float(np.mean(rhos)),
-    )
+    mids, growth, xis, rhos = [], [], [], []
+    for r in growing:
+        ev = r.eigenvalues
+        lam = ev[ev.real > threshold]
+        partner = ev[np.argmin(np.abs(ev + np.conj(lam)[:, None]), axis=1)]
+        mids.append(0.5 * (lam + partner))
+        growth.append(lam.real)
+        xis.append(np.full(lam.size, r.xi))
+        rhos.append(np.full(lam.size, r.rho))
+    # hits sorted by midpoint height; a stable sort keeps equal heights in hit order
+    order = np.argsort(np.concatenate(mids).imag, kind="stable")
+    cols = [np.concatenate(c)[order] for c in (mids, growth, xis, rhos)]
+    cuts = np.flatnonzero(np.diff(cols[0].imag) > 0.05) + 1
+    # Python's min and max return the first of equal values, so 0.0 and -0.0 keep hit order
+    return [Bubble(center=complex(np.mean(m)), max_growth=max(g.tolist()),
+                   xi_range=(min(x.tolist()), max(x.tolist())), rho=float(np.mean(p)))
+            for m, g, x, p in zip(*(np.split(c, cuts) for c in cols))]

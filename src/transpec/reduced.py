@@ -3,8 +3,10 @@
 Two instability channels exist at small amplitude: the long-wavelength double
 zero eigenvalue (co-periodic perturbations, transverse wavenumber near 0) and
 the adjacent-mode collision band (non-periodic perturbations, finite
-transverse wavenumber).  Wider mode separations never bifurcate, so verdicts
-reduce to the sign of one margin function per channel.
+transverse wavenumber).  At O(eps) wider mode separations do not bifurcate,
+so verdicts reduce to the sign of one margin function per channel.  They are
+O(eps) statements: opposite-signature collisions of modes two and three apart
+grow at O(eps^2) and O(eps^3) where they read stable (rmbo-kp, beta = -1, k = 2).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .collisions import _rho_sq, collision_rho_squared
 from .errors import DomainError
-from .stokes import _eta2, _resonance_mismatch, check_resonance
+from .stokes import _c2, _eta2, _resonance_mismatch, check_resonance
 from .symbols import ModelSpec, _sign_changes, make_model
 
 #: Golden-section fraction and sqrt(eps) of Brent's minimiser, as scipy writes them.
@@ -197,11 +199,6 @@ def golden_max(f, lo, hi):
 
 # --- long-wavelength channel ------------------------------------------------
 
-def _lw_margin_raw(model: ModelSpec, k):
-    """Unguarded margin; poles exactly at the first resonance (a verdict boundary)."""
-    return 1.5 * model.alpha2 + 2.0 * model.alpha1 * _eta2(model, k)
-
-
 def _lw_margin_cleared(model: ModelSpec, k):
     """The margin times mismatch_2^2: its sign, with its poles made simple roots.
 
@@ -212,9 +209,9 @@ def _lw_margin_cleared(model: ModelSpec, k):
 
 
 def lw_margin(model: ModelSpec, k: float) -> float:
-    """Margin (3/2) alpha2 + 2 alpha1 eta2(k); negative means unstable."""
+    """Margin (3/2) alpha2 + 2 alpha1 eta2(k) = 2 c2(k); negative means unstable."""
     check_resonance(model, k)
-    return float(_lw_margin_raw(model, k))
+    return float(2.0 * _c2(model, _eta2(model, k)))
 
 
 def long_wavelength_lambda2(model: ModelSpec, k: float, eps: float, rho: float) -> float:
@@ -360,10 +357,9 @@ _NO_WITNESS = {c: Verdict("stable", "t7", _NO_THRESHOLDS, ((c, False),))
 # no opposite-signature collisions reach rho = 0 away from xi = 0
 _LW_NONPERIODIC = Verdict("stable", "lk1", _NO_THRESHOLDS,
                           (("no potentially unstable node at long wavelength", False),))
-# separated pairs have a positive separation discriminant; keyed by the kdv family
-_FSW_PERIODIC = {kdv: Verdict("stable", "t4" if kdv else "t8", _NO_THRESHOLDS,
-                              (("mode-pair separation discriminant stays positive", False),))
-                 for kdv in (True, False)}
+# separated pairs have a positive separation discriminant
+_FSW_PERIODIC = Verdict("stable", "t8", _NO_THRESHOLDS,
+                        (("mode-pair separation discriminant stays positive", False),))
 
 
 def atlas(gamma: float = 1.0, fkdv_alpha: float = 1.5) -> Dict[str, Dict[str, Verdict]]:
@@ -371,15 +367,15 @@ def atlas(gamma: float = 1.0, fkdv_alpha: float = 1.5) -> Dict[str, Dict[str, Ve
 
     Each model of ``ATLAS_MODELS`` is instantiated at beta = +1 and beta = -1
     with the given gamma, on 61 log-spaced k in [1e-3, 1e3]; columns pin the
-    beta sign they quantify over.
+    beta sign they quantify over.  No atlas model has the kdv symbol, so every
+    cell takes the general analysis tag.
     """
-    def cell(unstable_at, model, kdv_tag, general_tag, condition):
+    def cell(unstable_at, tag, condition):
         # unstable_at: one flag per _ATLAS_K point; the first unstable k is the witness
         witnesses = np.flatnonzero(unstable_at)
         if not witnesses.size:
             return _NO_WITNESS[condition]
-        return Verdict("unstable", kdv_tag if _is_kdv_quadratic(model) else general_tag,
-                       _WITNESS[witnesses[0]], _HIT[condition])
+        return Verdict("unstable", tag, _WITNESS[witnesses[0]], _HIT[condition])
 
     def band_unstable(model):
         return _max_band_rho_sq(model, _ATLAS_K)[1] > 0
@@ -389,14 +385,12 @@ def atlas(gamma: float = 1.0, fkdv_alpha: float = 1.5) -> Dict[str, Dict[str, Ve
         pos = make_model(mid, gamma=gamma, beta=1.0, alpha=fkdv_alpha)
         neg = make_model(mid, gamma=gamma, beta=-1.0, alpha=fkdv_alpha)
         table[mid] = {
-            "lw_periodic_beta_pos": cell(_lw_margin_cleared(pos, _ATLAS_K) < 0, pos, "t1", "t5",
-                                         _LW_EXISTS),
-            "lw_periodic_beta_nonpos": cell(_lw_margin_cleared(neg, _ATLAS_K) < 0, neg, "t1", "t5",
+            "lw_periodic_beta_pos": cell(_lw_margin_cleared(pos, _ATLAS_K) < 0, "t5", _LW_EXISTS),
+            "lw_periodic_beta_nonpos": cell(_lw_margin_cleared(neg, _ATLAS_K) < 0, "t5",
                                             _LW_EXISTS),
             "lw_nonperiodic": _LW_NONPERIODIC,
-            "fsw_periodic": _FSW_PERIODIC[_is_kdv_quadratic(pos)],
-            "fsw_nonperiodic_beta_pos": cell(band_unstable(pos), pos, "t2", "t6", _BAND_EXISTS),
-            "fsw_nonperiodic_beta_nonpos": cell(band_unstable(neg), neg, "t2", "t6",
-                                                _BAND_EXISTS),
+            "fsw_periodic": _FSW_PERIODIC,
+            "fsw_nonperiodic_beta_pos": cell(band_unstable(pos), "t6", _BAND_EXISTS),
+            "fsw_nonperiodic_beta_nonpos": cell(band_unstable(neg), "t6", _BAND_EXISTS),
         }
     return table

@@ -30,7 +30,6 @@ RESONANCE_GUARD_NMAX = 16
 class StokesWave:
     """A small-amplitude wave: wavenumber, amplitude and expansion coefficients."""
 
-    model: ModelSpec
     k: float
     eps: float
     eta2: float
@@ -63,6 +62,11 @@ def _eta2(model: ModelSpec, k):
     return 2 * model.alpha1 * k**2 / (-4 * _resonance_mismatch(model, k, 2))
 
 
+def _c2(model: ModelSpec, eta2):
+    """Speed correction alpha1 eta2 + (3/4) alpha2 from eta2; broadcasts over eta2's k."""
+    return model.alpha1 * eta2 + 0.75 * model.alpha2
+
+
 def check_resonance(model: ModelSpec, k: float) -> None:
     """Raise ResonanceError when k is within ``RESONANCE_TOL`` of a resonant wavenumber."""
     if not (np.isfinite(k) and k > 0):
@@ -86,16 +90,14 @@ def stokes_coefficients(model: ModelSpec, k: float):
     a1, a2 = model.alpha1, model.alpha2
     eta2 = _eta2(model, k)
     eta3 = (9 * a1 * k**2 * eta2 + 2.25 * a2 * k**2) / (-9 * _resonance_mismatch(model, k, 3))
-    c2 = a1 * eta2 + 0.75 * a2
-    return float(eta2), float(eta3), float(c2)
+    return float(eta2), float(eta3), float(_c2(model, eta2))
 
 
 def build_wave(model: ModelSpec, k: float, eps: float = 0.01,
                check: bool = True) -> StokesWave:
     """Construct the wave at (k, eps), warning when the truncation is strained."""
     eta2, eta3, c2 = stokes_coefficients(model, k)
-    wave = StokesWave(model, float(k), float(eps), eta2, eta3,
-                      phase_speed_c0(model, k), c2)
+    wave = StokesWave(float(k), float(eps), eta2, eta3, phase_speed_c0(model, k), c2)
     if check and eps != 0.0:
         res = residual_norm(model, wave)
         norm = abs(eps) / np.sqrt(2.0)

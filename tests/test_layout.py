@@ -59,3 +59,23 @@ def test_the_cli_imports_nothing_beyond_numpy_and_a_few_standard_modules():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True)
     assert set(proc.stdout.split()) <= CLI_IMPORTS
+
+
+def _private_transpec_imports(tree: ast.Module):
+    """``module:name`` for each import of a ``_``-prefixed name or module of transpec."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "transpec":
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names if alias.name.split(".")[0] == "transpec"]
+        else:
+            continue
+        yield from (n for n in names if any(part.startswith("_") for part in n.split(".")))
+
+
+def test_scripts_import_only_public_transpec_names():
+    scripts = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+    assert scripts
+    private = [f"{path.name}:{name}" for path in scripts
+               for name in _private_transpec_imports(ast.parse(path.read_text()))]
+    assert private == []

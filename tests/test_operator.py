@@ -20,7 +20,7 @@ from transpec import (
     theta1_band,
     wave_profile,
 )
-from transpec.operator import _shifted_band_layout
+from transpec.operator import Bubble, SpectrumResult, _rounding_floor, _shifted_band_layout
 from transpec.stokes import profile_coefficients
 from transpec.symbols import MODEL_IDS
 
@@ -476,3 +476,79 @@ def test_detect_bubbles_empty_when_stable():
     m = make_model("rmkp", gamma=1.0, beta=-1.0)
     results = sweep(m, 1.0, 0.01, [0.4, 1.2], [0.2, 0.4], N=32)
     assert detect_bubbles(results, threshold=1e-7) == []
+
+
+def _reference_bubbles(results, threshold=None):
+    """detect_bubbles as a loop over height-sorted hits, kept as the reference."""
+    finite = [r for r in results if r.error is None and r.eigenvalues.size]
+    if not finite:
+        return []
+    if threshold is None:
+        threshold = max(_rounding_floor(r.eigenvalues) for r in finite)
+    hits = []  # (imag of midpoint, midpoint, growth, xi, rho)
+    for r in finite:
+        ev = r.eigenvalues
+        for lam in ev[ev.real > threshold]:
+            partner = ev[np.argmin(np.abs(ev - (-np.conj(lam))))]
+            mid = 0.5 * (lam + partner)
+            hits.append((float(mid.imag), mid, float(lam.real), r.xi, r.rho))
+    if not hits:
+        return []
+    hits.sort(key=lambda h: h[0])
+
+    def summarize(cluster):
+        xis = [c[3] for c in cluster]
+        return Bubble(center=complex(np.mean(np.array([c[1] for c in cluster]))),
+                      max_growth=max(c[2] for c in cluster), xi_range=(min(xis), max(xis)),
+                      rho=float(np.mean([c[4] for c in cluster])))
+
+    bubbles, cluster = [], [hits[0]]
+    for h in hits[1:]:
+        if h[0] - cluster[-1][0] <= 0.05:
+            cluster.append(h)
+        else:
+            bubbles.append(summarize(cluster))
+            cluster = [h]
+    bubbles.append(summarize(cluster))
+    return bubbles
+
+
+def _bubble_records(bubbles):
+    # repr keeps every digit and the sign of a zero
+    return repr([b.as_dict() for b in bubbles])
+
+
+@pytest.mark.parametrize("threshold", [None, 1e-4])
+@pytest.mark.parametrize("beta, k, rho_grid, xi_grid, count", [
+    (-1.0, 1.0, [0.4, 1.2], [0.2, 0.4], 0),
+    (1.0, 2.0, [0.0], [0.478], 1),
+    (1.0, 2.0, [-0.01, 0.0, 0.01, 0.3], [-0.49, -0.478, -0.45, 0.3, 0.45, 0.478, 0.49], 4),
+], ids=["none", "one", "several"])
+def test_detect_bubbles_matches_the_clustering_loop(beta, k, rho_grid, xi_grid, count,
+                                                    threshold):
+    # rho_grid is an offset from the band collision at xi = 0.478
+    m = make_model("rmkp", gamma=1.0, beta=beta)
+    rho = _band_collision_point(m, 0.478) if beta > 0 else 0.0
+    results = sweep(m, k, 0.01, [rho + r for r in rho_grid], xi_grid, N=24)
+    bubbles = detect_bubbles(results, threshold)
+    assert len(bubbles) == count
+    assert _bubble_records(bubbles) == _bubble_records(_reference_bubbles(results, threshold))
+
+
+@pytest.mark.parametrize("gap, count", [(0.05 - 1e-9, 1), (0.05 + 1e-9, 2)])
+# a negative threshold also takes in the axis pair, which clusters the same way
+@pytest.mark.parametrize("threshold, pairs", [(None, 1), (1e-3, 1), (-1e-9, 2)])
+def test_detect_bubbles_splits_midpoints_more_than_0_05_apart(gap, count, threshold, pairs):
+    def spectrum(height, rho, xi, growth=0.01):
+        # a growing pair, and an axis pair whose real parts are -0.0 and 0.0
+        ev = np.array([-growth + 1j * height, growth + 1j * height,
+                       complex(-0.0, height + 1.0), complex(0.0, height + 1.0)])
+        return SpectrumResult(eigenvalues=ev, rho=rho, xi=xi, eps=0.01, k=2.0, N=8,
+                              max_real=growth)
+
+    failed = SpectrumResult(eigenvalues=np.empty(0, dtype=complex), rho=0.5, xi=0.1, eps=0.01,
+                            k=2.0, N=8, max_real=math.nan, error="failed")
+    results = [spectrum(0.3, 1.0, 0.25), failed, spectrum(0.3 + gap, 1.5, -0.1, growth=0.02)]
+    bubbles = detect_bubbles(results, threshold)
+    assert len(bubbles) == pairs * count
+    assert _bubble_records(bubbles) == _bubble_records(_reference_bubbles(results, threshold))

@@ -15,6 +15,7 @@ from transpec import (
     long_wavelength_verdict,
     make_model,
     omega,
+    stokes_coefficients,
     theta1_band,
     theta1_verdict,
 )
@@ -24,11 +25,10 @@ from transpec.reduced import (
     ATLAS_MODELS,
     _ATLAS_K,
     _XI_SCAN,
-    _lw_margin_raw,
     _max_band_rho_sq,
     golden_max,
 )
-from transpec.stokes import _resonance_mismatch
+from transpec.stokes import _c2, _eta2, _resonance_mismatch
 from transpec.symbols import MODEL_IDS, custom
 
 
@@ -90,6 +90,23 @@ def test_lw_verdict_negative_beta_stable_all_k():
         assert "k_lw" not in v.thresholds
 
 
+@pytest.mark.parametrize("mid", MODEL_IDS)
+@pytest.mark.parametrize("beta", [1.0, -1.0, 0.3])
+@pytest.mark.parametrize("gamma", [0.1, 1.0, 4.0])
+def test_lw_margin_is_twice_the_speed_correction(mid, beta, gamma):
+    m = make_model(mid, gamma=gamma, beta=beta, alpha=1.5 if mid == "rm-fkdv-kp" else None)
+    checked = 0
+    for k in np.geomspace(1e-2, 1e2, 41).tolist():
+        try:
+            margin = reduced.lw_margin(m, k)
+        except ResonanceError:
+            continue
+        # float.hex keeps the sign bit, so a signed zero must match as well
+        assert margin.hex() == (2 * stokes_coefficients(m, k)[2]).hex()
+        checked += 1
+    assert checked > 30
+
+
 def test_lw_verdict_threshold_consistency():
     # at the reported boundary the margin either vanishes or poles out
     for mid, beta in [("rmbo-kp", 1.0), ("rmg-kp", 1.0), ("rmilw-kp", 1.0),
@@ -99,7 +116,7 @@ def test_lw_verdict_threshold_consistency():
         if "k_lw" not in v.thresholds:
             continue
         ks = v.thresholds["k_lw"]
-        margin = _lw_margin_raw(m, ks)
+        margin = 2 * _c2(m, _eta2(m, ks))
         denom = 3 * m.gamma + 4 * ks**2 * (m.j_eff(ks) - m.j_eff(2 * ks))
         assert abs(margin) < 1e-8 or abs(denom) < 1e-6
 
@@ -447,7 +464,7 @@ def test_atlas_is_quiet_on_a_resonant_grid_point():
             cell = table[mid][column]
             if cell.outcome == "unstable":
                 m = make_model(mid, gamma=4.0, beta=beta, alpha=alpha)
-                assert _lw_margin_raw(m, cell.thresholds["k_witness"]) < 0
+                assert 2 * _c2(m, _eta2(m, cell.thresholds["k_witness"])) < 0
 
 
 # --- per-model onset memo -------------------------------------------------------

@@ -180,7 +180,7 @@ def test_residual_ablation_drops_an_order():
     res = []
     for e in eps:
         full = build_wave(m, 0.6, e, check=False)
-        broken = StokesWave(m, full.k, full.eps, full.eta2, 0.0, full.c0, full.c2)
+        broken = StokesWave(full.k, full.eps, full.eta2, 0.0, full.c0, full.c2)
         res.append(residual_norm(m, broken))
     slope = np.polyfit(np.log(eps), np.log(res), 1)[0]
     assert slope < 3.5

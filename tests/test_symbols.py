@@ -15,8 +15,8 @@ from transpec import (
     omega,
 )
 from transpec.collisions import _positive_windows
-from transpec.reduced import _lw_margin_raw, _max_band_rho_sq
-from transpec.stokes import _resonance_mismatch
+from transpec.reduced import _max_band_rho_sq
+from transpec.stokes import _c2, _eta2, _resonance_mismatch
 from transpec.symbols import (
     MODEL_IDS,
     DispersionSymbol,
@@ -170,7 +170,7 @@ def test_sign_changes_on_the_gardner_margin():
     grid = np.geomspace(1e-3, 1e3, 513)
 
     def f(k):
-        return _lw_margin_raw(m, k)
+        return 2 * _c2(m, _eta2(m, k))
 
     root = math.sqrt((math.sqrt(1.0 + 20.25) - 1.0) / 9.0)
     found = _sign_changes(f, grid, f(grid), 1e-12)
@@ -222,6 +222,6 @@ def test_sign_changes_match_brentq_on_resonances_and_onsets(mid, beta):
     thresholds = classify(m, 1.0).thresholds
     for key, k in thresholds.items():
         if key.startswith("k_lw"):
-            check(k, lambda kk: _lw_margin_raw(m, kk), grid, 1e-12)
+            check(k, lambda kk: 2 * _c2(m, _eta2(m, kk)), grid, 1e-12)
         elif key.startswith("k_t1b"):
             check(k, lambda kk: _max_band_rho_sq(m, kk)[1], np.geomspace(1e-3, 1e3, 161), 1e-12)
