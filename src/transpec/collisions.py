@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .symbols import ModelSpec, _omega_at_zero_rho, _sign_changes
+from .symbols import ModelSpec, _check_wavenumber, _omega_at_zero_rho, _sign_changes
 
 #: rho^2 values with magnitude below this (relative to gamma) count as zero.
 _ZERO_TOL = 1e-12
@@ -50,8 +50,7 @@ def omega(model: ModelSpec, n: int, rho: float, xi: float, k: float) -> float:
     p = n + xi
     if p == 0.0:
         raise DomainError("omega undefined at n + xi = 0")
-    if not (np.isfinite(k) and k > 0):
-        raise DomainError(f"wavenumber must be positive, got {k}")
+    _check_wavenumber(k)
     return float(_omega_at_zero_rho(model, p, k) - rho**2 / p)
 
 
@@ -75,8 +74,7 @@ def collision_rho_squared(model: ModelSpec, n: int, m: int, xi, k):
         raise DomainError("collision undefined when a composite index vanishes")
     if n == m:
         raise DomainError("collision needs two distinct modes")
-    if not ((kk > 0) & np.isfinite(kk)).all():
-        raise DomainError(f"wavenumber must be positive, got {k}")
+    _check_wavenumber(k)
     rho_sq = _rho_sq(model, p, q, kk)
     return rho_sq if rho_sq.ndim else float(rho_sq)
 
@@ -93,6 +91,11 @@ def _rho_sq(model: ModelSpec, p, q, k):
 def is_origin_collision(n: int, theta: int, xi: float) -> bool:
     """True for the mirror pair n + xi = -(n + theta + xi), which collides at zero frequency."""
     return abs(xi + (n + theta / 2)) < 1e-12
+
+
+def _check_theta(theta: int) -> None:
+    if theta < 1:
+        raise ValidationError("theta must be a positive integer")
 
 
 def _positive_windows(f, grid: np.ndarray, vals: np.ndarray, lo_open: float,
@@ -119,8 +122,7 @@ def collision_wavenumber_window(model: ModelSpec, n: int, theta: int, xi: float 
     identically (the mirror pair), the collision exists at rho = 0 for every k
     and the full half line is returned.
     """
-    if theta < 1:
-        raise ValidationError("theta must be a positive integer")
+    _check_theta(theta)
     m = n + theta
     grid = np.geomspace(1e-3, 1e3, 513)
 
@@ -136,8 +138,7 @@ def collision_wavenumber_window(model: ModelSpec, n: int, theta: int, xi: float 
 
 def collision_floquet_window(model: ModelSpec, n: int, theta: int, k: float):
     """xi-intervals in (0, 1/2] on which the (n, n+theta) collision exists at this k."""
-    if theta < 1:
-        raise ValidationError("theta must be a positive integer")
+    _check_theta(theta)
     m = n + theta
     grid = np.linspace(0.5 / 4096, 0.5, 4096)
     # composite indices must stay nonzero on the scan
@@ -181,22 +182,6 @@ def _make_record(model: ModelSpec, n: int, theta: int, xi: float, k: float,
     )
 
 
-def _collision_at(model: ModelSpec, n: int, theta: int, xi: float,
-                  k: Optional[float]) -> Optional[Tuple[float, float]]:
-    """Find a witness (k, rho^2 >= 0) for the pair (n, n+theta) at this xi."""
-    m = n + theta
-    if k is not None:
-        rho_sq = collision_rho_squared(model, n, m, xi, k)
-        if rho_sq >= -_ZERO_TOL * model.gamma:
-            return float(k), max(rho_sq, 0.0)
-        return None
-    windows = collision_wavenumber_window(model, n, theta, xi)
-    if not windows:
-        return None
-    kw = _window_witness(windows[0])
-    return kw, max(collision_rho_squared(model, n, m, xi, kw), 0.0)
-
-
 def enumerate_potentially_unstable(model: ModelSpec, theta: int, perturbation: str,
                                    k: Optional[float] = None) -> List[CollisionRecord]:
     """Collision records that pass the opposite-Krein-signature filter.
@@ -208,8 +193,7 @@ def enumerate_potentially_unstable(model: ModelSpec, theta: int, perturbation: s
     ``k`` is omitted, a witness wavenumber inside the first collision window
     is chosen per pair; pairs with no collision anywhere are dropped.
     """
-    if theta < 1:
-        raise ValidationError("theta must be a positive integer")
+    _check_theta(theta)
     if perturbation not in ("periodic", "nonperiodic"):
         raise ValidationError("perturbation must be 'periodic' or 'nonperiodic'")
 
@@ -217,8 +201,14 @@ def enumerate_potentially_unstable(model: ModelSpec, theta: int, perturbation: s
     periodic = perturbation == "periodic"
     for n in range(-theta + periodic, 0):
         for xi in [0.0] if periodic else [j / 128 for j in range(64, 0, -1)]:
-            hit = _collision_at(model, n, theta, xi, k)
-            if hit is not None:
-                records.append(_make_record(model, n, theta, xi, *hit))
+            kw = k
+            if k is None:
+                windows = collision_wavenumber_window(model, n, theta, xi)
+                if not windows:
+                    continue
+                kw = _window_witness(windows[0])
+            rho_sq = collision_rho_squared(model, n, n + theta, xi, kw)
+            if rho_sq >= -_ZERO_TOL * model.gamma:
+                records.append(_make_record(model, n, theta, xi, float(kw), rho_sq))
                 break
     return records

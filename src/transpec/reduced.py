@@ -23,7 +23,7 @@ import numpy as np
 from .collisions import _rho_sq, collision_rho_squared
 from .errors import DomainError
 from .stokes import _c2, _eta2, _resonance_mismatch, check_resonance
-from .symbols import ModelSpec, _sign_changes, make_model
+from .symbols import ModelSpec, _check_wavenumber, _sign_changes, make_model
 
 #: Golden-section fraction and sqrt(eps) of Brent's minimiser, as scipy writes them.
 _CGOLD = 0.5 * (3.0 - math.sqrt(5.0))
@@ -220,11 +220,11 @@ def long_wavelength_lambda2(model: ModelSpec, k: float, eps: float, rho: float) 
     Positive values predict a real eigenvalue pair +/- sqrt(lambda^2); a
     negative value keeps the pair on the imaginary axis.
     """
-    check_resonance(model, k)
+    margin = lw_margin(model, k)
     if abs(rho) > 0.1 or abs(eps) > 0.1:
         warnings.warn("long-wavelength reduction assumes |rho|, |eps| small",
                       stacklevel=2)
-    return -(rho**2) * (rho**2 + k**2 * eps**2 * lw_margin(model, k))
+    return -(rho**2) * (rho**2 + k**2 * eps**2 * margin)
 
 
 @functools.lru_cache(maxsize=_ONSET_MEMO_SIZE)
@@ -307,8 +307,7 @@ def _band_onsets(model: ModelSpec) -> Tuple[float, ...]:
 
 def theta1_verdict(model: ModelSpec, k: float) -> Verdict:
     """Verdict for non-periodic perturbations with finite transverse wavelength."""
-    if not (math.isfinite(k) and k > 0):
-        raise DomainError(f"wavenumber must be positive, got {k}")
+    _check_wavenumber(k)
     xi_star, best = _max_band_rho_sq(model, k)
     unstable = best > 0
     thresholds: Dict[str, float] = {"xi_star": float(xi_star), "rho_c_sq_max": float(best)}
@@ -377,20 +376,12 @@ def atlas(gamma: float = 1.0, fkdv_alpha: float = 1.5) -> Dict[str, Dict[str, Ve
             return _NO_WITNESS[condition]
         return Verdict("unstable", tag, _WITNESS[witnesses[0]], _HIT[condition])
 
-    def band_unstable(model):
-        return _max_band_rho_sq(model, _ATLAS_K)[1] > 0
-
     table: Dict[str, Dict[str, Verdict]] = {}
     for mid in ATLAS_MODELS:
-        pos = make_model(mid, gamma=gamma, beta=1.0, alpha=fkdv_alpha)
-        neg = make_model(mid, gamma=gamma, beta=-1.0, alpha=fkdv_alpha)
-        table[mid] = {
-            "lw_periodic_beta_pos": cell(_lw_margin_cleared(pos, _ATLAS_K) < 0, "t5", _LW_EXISTS),
-            "lw_periodic_beta_nonpos": cell(_lw_margin_cleared(neg, _ATLAS_K) < 0, "t5",
-                                            _LW_EXISTS),
-            "lw_nonperiodic": _LW_NONPERIODIC,
-            "fsw_periodic": _FSW_PERIODIC,
-            "fsw_nonperiodic_beta_pos": cell(band_unstable(pos), "t6", _BAND_EXISTS),
-            "fsw_nonperiodic_beta_nonpos": cell(band_unstable(neg), "t6", _BAND_EXISTS),
-        }
+        lw, band = [], []
+        for beta in (1.0, -1.0):
+            model = make_model(mid, gamma=gamma, beta=beta, alpha=fkdv_alpha)
+            lw.append(cell(_lw_margin_cleared(model, _ATLAS_K) < 0, "t5", _LW_EXISTS))
+            band.append(cell(_max_band_rho_sq(model, _ATLAS_K)[1] > 0, "t6", _BAND_EXISTS))
+        table[mid] = dict(zip(ATLAS_COLUMNS, (*lw, _LW_NONPERIODIC, _FSW_PERIODIC, *band)))
     return table

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmplitudeValidityWarning, DomainError, ResonanceError
-from .symbols import ModelSpec, _omega_at_zero_rho, _sign_changes
+from .errors import AmplitudeValidityWarning, ResonanceError
+from .symbols import ModelSpec, _check_wavenumber, _omega_at_zero_rho, _sign_changes
 
 #: Half-distance in k below which a wavenumber counts as resonant.
 RESONANCE_TOL = 1e-6
@@ -44,8 +44,7 @@ class StokesWave:
 
 def phase_speed_c0(model: ModelSpec, k: float) -> float:
     """Bifurcation speed of the fundamental mode: beta*j(k) + gamma/k^2."""
-    if not (np.isfinite(k) and k > 0):
-        raise DomainError(f"wavenumber must be positive, got {k}")
+    _check_wavenumber(k)
     return model.j_eff(k) + model.gamma / k**2
 
 
@@ -69,8 +68,7 @@ def _c2(model: ModelSpec, eta2):
 
 def check_resonance(model: ModelSpec, k: float) -> None:
     """Raise ResonanceError when k is within ``RESONANCE_TOL`` of a resonant wavenumber."""
-    if not (np.isfinite(k) and k > 0):
-        raise DomainError(f"wavenumber must be positive, got {k}")
+    _check_wavenumber(k)
     lo = max(k - RESONANCE_TOL, 1e-30)
     hi = k + RESONANCE_TOL
     ns = np.arange(2, RESONANCE_GUARD_NMAX + 1)

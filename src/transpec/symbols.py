@@ -120,6 +120,13 @@ class ModelSpec:
         return out if out.ndim else float(out)
 
 
+def _check_wavenumber(k) -> None:
+    """Raise DomainError unless the wavenumber k, a number or an array, is finite and positive."""
+    ok = ((np.asarray(k) > 0) & np.isfinite(k)).all() if np.ndim(k) else 0 < k < np.inf
+    if not ok:
+        raise DomainError(f"wavenumber must be positive, got {k}")
+
+
 def _j(model: ModelSpec, x):
     """beta * j(x), with no check of x: the kernel behind ``j_eff``.
 

@@ -178,11 +178,19 @@ def test_bad_subcommand_exits_2(capsys):
     "spectrum --rho nan --xi 0.5",
     "sweep --rho-grid nan --xi-grid 0.5 --out-dir {d}",
     "collide --table --theta-max 0",
+    "spectrum --shift abc --rho 1 --xi 0.3",
+    "spectrum --shift 1 --rho 1 --xi 0.3",
+    "collide --theta 0",
+    "classify --k 0",
+    "collide --theta 2 --k -1",
+    "sweep --rho-grid 1:2:0 --xi-grid 0.5 --out-dir {d}/out",
+    "--config {d}/missing.json classify",
 ])
 def test_malformed_input_exits_2(argv, tmp_path, capsys):
     code, _, err = run_cli(capsys, *argv.format(d=tmp_path).split())
     assert code == 2
     assert "error:" in err
+    assert list(tmp_path.iterdir()) == []  # a rejected run writes nothing
 
 
 def test_unwritable_path_exits_2(capsys):
@@ -247,7 +255,7 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 
 def _config_argv(tmp_path, config, argv):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
+    path.write_text(config if isinstance(config, str) else json.dumps(config))
     return ["--config", str(path), *argv.split()]
 
 
@@ -285,6 +293,8 @@ def test_config_sets_wave_samples_and_path(tmp_path, capsys):
     ({"gamma": None}, "classify"),
     ({"json": None}, "classify"),
     ({"table": "yes"}, "collide"),
+    ("{not json", "classify"),
+    ([{"k": 2.0}], "classify"),
 ])
 def test_bad_config_entry_exits_2(config, argv, tmp_path, capsys):
     code, _, err = run_cli(capsys, *_config_argv(tmp_path, config, argv))

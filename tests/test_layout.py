@@ -79,3 +79,20 @@ def test_scripts_import_only_public_transpec_names():
     private = [f"{path.name}:{name}" for path in scripts
                for name in _private_transpec_imports(ast.parse(path.read_text()))]
     assert private == []
+
+
+def _raised_messages(tree: ast.Module):
+    """The text of each string constant inside a ``raise`` statement."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise):
+            for part in ast.walk(node):
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    yield part.value
+
+
+def test_each_input_rule_of_the_collision_analysis_is_raised_from_one_place():
+    messages = [(path.name, text) for path in SOURCES
+                for text in _raised_messages(ast.parse(path.read_text()))]
+    for rule in ("wavenumber must be positive", "theta must be a positive integer"):
+        raised = [f"{name}:{text}" for name, text in messages if rule in text]
+        assert len(raised) == 1, raised

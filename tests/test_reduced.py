@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,15 @@ def test_lambda2_resonant_k_raises():
     m = make_model("rmkp", gamma=1.0, beta=1.0)
     with pytest.raises(ResonanceError):
         long_wavelength_lambda2(m, 0.25**0.25, 0.01, 0.005)
+
+
+def test_lambda2_resonant_k_raises_before_it_warns():
+    m = make_model("rmkp", gamma=1.0, beta=1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ResonanceError):
+            long_wavelength_lambda2(m, 0.25**0.25, 0.2, 0.2)
+    assert caught == []
 
 
 def test_lambda2_warns_outside_small_parameter_regime():
@@ -450,6 +460,12 @@ def test_atlas_all_cells():
     for mid, cells in table.items():
         got = tuple(cells[c].outcome for c in ATLAS_COLUMNS)
         assert got == EXPECTED_ATLAS[mid], mid
+
+
+@pytest.mark.parametrize("gamma", [1.0, 4.0])
+def test_atlas_rows_list_the_columns_in_order(gamma):
+    for cells in atlas(gamma=gamma).values():
+        assert tuple(cells) == ATLAS_COLUMNS
 
 
 def test_atlas_is_quiet_on_a_resonant_grid_point():

@@ -131,6 +131,11 @@ def test_model_validation():
         fkdv(0.4)
     with pytest.raises(ValidationError):
         DispersionSymbol("nope")
+    with pytest.raises(ValidationError, match="custom symbol needs a callable"):
+        custom(None)
+    for beta in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="beta must be finite"):
+            ModelSpec(DispersionSymbol("kdv"), beta, 1, 0, gamma=1.0)
 
 
 def test_model_registry():
