@@ -83,7 +83,7 @@ def _rho_sq(model: ModelSpec, p, q, k):
     """rho^2 at which the modes of composite indices p and q share a frequency.
 
     The kernel behind ``collision_rho_squared``: no check of its inputs, which
-    broadcast; a numpy scalar stays a numpy scalar.
+    broadcast and keep their type, so Python floats give a Python float.
     """
     return p * q * (_omega_at_zero_rho(model, p, k) - _omega_at_zero_rho(model, q, k)) / (q - p)
 

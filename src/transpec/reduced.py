@@ -32,6 +32,8 @@ _SQRT_EPS = math.sqrt(2.2e-16)
 #: Floquet exponents of the band-peak scan; the polish brackets two of its
 #: 36 cells around the best point.
 _XI_SCAN = np.linspace(1e-4, 0.5, 37)
+#: The composite index xi - 1 of mode -1 on that scan.
+_P_SCAN = _XI_SCAN - 1.0
 
 #: Models whose onset tables are kept, most recently used first; a model is
 #: its key, so an equal model reuses its tables.
@@ -121,8 +123,8 @@ def golden_max(f, lo, hi):
     of scipy's ``fminbound`` at ``xatol=1e-8``: a parabola through the three
     best points, or a golden-section step where it is not acceptable.  ``lo``
     and ``hi`` may be arrays of brackets.  Each bracket keeps its own Brent
-    state in Python floats, and ``f`` gets one array call per step, on an
-    array of the brackets' shape (a numpy scalar for a scalar bracket) that
+    state in Python floats, and ``f`` gets one call per step: on a Python
+    float for a scalar bracket, else on an array of the brackets' shape that
     holds every bracket's next point; a converged bracket resubmits its best
     point.  Returns the best point found and its value.
     """
@@ -130,8 +132,9 @@ def golden_max(f, lo, hi):
     shape = lo.shape
 
     def neg_f(points):
-        values = np.asarray(f(np.array(points).reshape(shape)[()]), dtype=float)
-        return (-values.ravel()).tolist()
+        if not shape:
+            return [-float(f(points[0]))]
+        return (-np.asarray(f(np.array(points).reshape(shape)), dtype=float).ravel()).tolist()
 
     ends = list(zip(lo.ravel().tolist(), hi.ravel().tolist()))
     points = [a + _CGOLD * (b - a) for a, b in ends]
@@ -271,12 +274,12 @@ def _max_band_rho_sq(model: ModelSpec, k):
     Where the polish falls short of the scan's best point, that point is
     returned.  Broadcasts over an array of k, which its callers have checked
     to be finite and positive; every xi it tries lies in (0, 1), so neither
-    composite index vanishes.
+    composite index vanishes.  The scan runs on an array view of k and the
+    polish on k as given, so a float k is polished on Python floats.
     """
-    k = np.asarray(k, dtype=float)[()]
-    scan = _rho_sq(model, _XI_SCAN - 1.0, _XI_SCAN, k[..., None])
+    scan = _rho_sq(model, _P_SCAN, _XI_SCAN, np.asarray(k, dtype=float)[..., None])
     top = np.argmax(scan, axis=-1)
-    best = np.clip(top, 1, _XI_SCAN.size - 2)
+    best = np.minimum(np.maximum(top, 1), _XI_SCAN.size - 2)
     lo = _XI_SCAN[best - 1]
     hi = np.where(best == _XI_SCAN.size - 2, 1.0 - lo, _XI_SCAN[best + 1])
     # a best scan point at the xi = 1e-4 end that falls away to its right is
@@ -308,7 +311,7 @@ def _band_onsets(model: ModelSpec) -> Tuple[float, ...]:
 def theta1_verdict(model: ModelSpec, k: float) -> Verdict:
     """Verdict for non-periodic perturbations with finite transverse wavelength."""
     _check_wavenumber(k)
-    xi_star, best = _max_band_rho_sq(model, k)
+    xi_star, best = _max_band_rho_sq(model, float(k))
     unstable = best > 0
     thresholds: Dict[str, float] = {"xi_star": float(xi_star), "rho_c_sq_max": float(best)}
     if unstable:

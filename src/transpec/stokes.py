@@ -25,6 +25,9 @@ RESONANCE_TOL = 1e-6
 #: Highest harmonic checked by the resonance guard.
 RESONANCE_GUARD_NMAX = 16
 
+#: The harmonics n = 2 .. RESONANCE_GUARD_NMAX that the resonance guard checks.
+_GUARD_HARMONICS = np.arange(2, RESONANCE_GUARD_NMAX + 1)
+
 
 @dataclass(frozen=True)
 class StokesWave:
@@ -71,12 +74,11 @@ def check_resonance(model: ModelSpec, k: float) -> None:
     _check_wavenumber(k)
     lo = max(k - RESONANCE_TOL, 1e-30)
     hi = k + RESONANCE_TOL
-    ns = np.arange(2, RESONANCE_GUARD_NMAX + 1)
-    f_lo, f_hi = _resonance_mismatch(model, np.array([[lo], [hi]]), ns)
+    f_lo, f_hi = _resonance_mismatch(model, np.array([[lo], [hi]]), _GUARD_HARMONICS)
     hit = (f_lo == 0.0) | (f_hi == 0.0) | ((f_lo < 0) != (f_hi < 0))
     if hit.any():
         i = int(np.argmax(hit))
-        n = int(ns[i])
+        n = int(_GUARD_HARMONICS[i])
         root = _sign_changes(lambda kk: _resonance_mismatch(model, kk, n), [lo, hi],
                              [f_lo[i], f_hi[i]], 1e-14)
         raise ResonanceError(k, n, float(root[0]) if root.size else k)

@@ -24,10 +24,12 @@ _SERIES_CUTOFF = 1e-4
 def _near_zero(x, series, closed):
     """``closed(x)``, with ``series(x)`` below the cutoff where it has a removable singularity.
 
-    Keeps the shape of ``x``, a scalar included; each branch sees only values
-    on its own side of the cutoff, so neither overflows nor divides by zero
-    for the other.
+    Keeps the shape of ``x``; each branch sees only values on its own side of
+    the cutoff, so neither overflows nor divides by zero for the other, and a
+    scalar is given to the one branch on its side.
     """
+    if not np.ndim(x):
+        return series(x) if x < _SERIES_CUTOFF else closed(x)
     return np.where(x < _SERIES_CUTOFF, series(np.minimum(x, _SERIES_CUTOFF)),
                     closed(np.maximum(x, _SERIES_CUTOFF)))
 
@@ -35,11 +37,11 @@ def _near_zero(x, series, closed):
 # Built-in symbols: id -> rule on x = |kappa| given the symbol.
 _RULES = {
     "kdv": lambda s, x: x * x,
-    "bo": lambda s, x: x.copy(),
+    "bo": lambda s, x: +x,
     "fkdv": lambda s, x: 1.0 + x**s.alpha,
     "whitham": lambda s, x: _near_zero(x, lambda y: 1.0 - y**2 / 6.0, lambda y: np.sqrt(np.tanh(y) / y)),
     "ilw": lambda s, x: _near_zero(x, lambda y: 1.0 + y**2 / 3.0, lambda y: y / np.tanh(y)),
-    "reduced": lambda s, x: np.ones_like(x),
+    "reduced": lambda s, x: 0.0 * x + 1.0,  # 1, in the type and shape of x
 }
 
 
@@ -130,14 +132,16 @@ def _check_wavenumber(k) -> None:
 def _j(model: ModelSpec, x):
     """beta * j(x), with no check of x: the kernel behind ``j_eff``.
 
-    Callers pass finite x, checked where a public call entered; a scalar
-    comes back as a numpy scalar, and a custom ``fn`` gets a float64 array or
-    a numpy ``float64``.
+    Callers pass finite x, checked where a public call entered.  The built-in
+    rules keep the type of x: an array gives an array, and a Python float a
+    Python float, except where the whitham and ilw closed forms call numpy
+    (a numpy ``float64``).  A custom ``fn`` gets a float64 array or a numpy
+    ``float64``.
     """
     s = model.symbol
     if s.id == "custom":
         return model.beta * np.asarray(s.fn(np.asarray(x, dtype=float)[()]), dtype=float)
-    return model.beta * _RULES[s.id](s, np.abs(x))
+    return model.beta * _RULES[s.id](s, abs(x))
 
 
 def _omega_at_zero_rho(model: ModelSpec, p, k):

@@ -325,6 +325,24 @@ def test_golden_max_calls_f_once_per_step():
     assert xs.shape == vals.shape == (0,)
 
 
+def test_golden_max_gives_f_a_float_or_an_array_of_the_brackets_shape():
+    seen = []
+    golden_max(lambda t: seen.append(t) or PEAKS[1](t), 0.1, np.float64(0.2))
+    assert {type(t) for t in seen} == {float}
+    lo = np.linspace(0.0, 0.45, 10).reshape(2, 5)
+    seen.clear()
+    golden_max(lambda t: seen.append(t) or PEAKS[1](t), lo, lo + 0.05)
+    assert all(type(t) is np.ndarray and t.shape == (2, 5) for t in seen)
+
+
+def test_classify_takes_an_int_a_float_or_a_numpy_scalar_alike():
+    for mid in MODEL_IDS:
+        m = _named(mid, 1.0)
+        for k in (1, 2, 3):
+            assert repr(classify(m, float(k))) == repr(classify(m, k)) == repr(
+                classify(m, np.float64(k)))
+
+
 #: Two custom symbols: a smooth monotone one, and one with two band peaks in xi.
 CUSTOM_SYMBOLS = {
     "sqrt": lambda x: np.sqrt(1.0 + x * x),
@@ -333,8 +351,8 @@ CUSTOM_SYMBOLS = {
 
 
 def _check_verdicts_match_the_array_peak(m):
-    # the scalar polish runs on numpy scalars, the array one on arrays; they
-    # may differ in the last bits only (numpy's scalar and array power differ)
+    # the scalar polish runs on Python floats, the array one on arrays; they
+    # may differ in the last bits only (scalar and array power differ)
     ks = np.geomspace(1e-2, 50.0, 23)
     xis, peaks = _max_band_rho_sq(m, ks)
     for k, xi, v in zip(ks.tolist(), xis, peaks):
@@ -357,7 +375,7 @@ def test_custom_band_peak_over_a_k_array_matches_scalar_calls(name):
 
 
 def test_scalar_results_are_builtin_types():
-    # the kernels keep numpy scalars; a public result is a Python float, int
+    # the kernels keep the type they are given; a public result is a Python float, int
     # or bool, which every JSON writer takes (a numpy.bool_ is no bool)
     models = ([_named(mid, beta) for mid in MODEL_IDS for beta in (1.0, -1.0)]
               + [ModelSpec(custom(fn), beta, 1, 0, 1.0)

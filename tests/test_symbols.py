@@ -14,7 +14,7 @@ from transpec import (
     make_model,
     omega,
 )
-from transpec.collisions import _positive_windows
+from transpec.collisions import _positive_windows, _rho_sq
 from transpec.reduced import _max_band_rho_sq
 from transpec.stokes import _c2, _eta2, _resonance_mismatch
 from transpec.symbols import (
@@ -22,6 +22,7 @@ from transpec.symbols import (
     DispersionSymbol,
     ModelSpec,
     _SERIES_CUTOFF,
+    _j,
     _near_zero,
     _sign_changes,
     custom,
@@ -102,6 +103,28 @@ def test_near_zero_is_bitwise_the_masked_form(series, closed):
     assert _near_zero(x, series, closed).tobytes() == ref.tobytes()
     scalars = np.array([_near_zero(v, series, closed) for v in x.tolist()])
     assert scalars.tobytes() == ref.tobytes()
+    # a 0-d input of any type takes one branch, bitwise the np.where form
+    for v in (0.0, 1e-8, np.nextafter(_SERIES_CUTOFF, 0.0), _SERIES_CUTOFF,
+              np.nextafter(_SERIES_CUTOFF, 1.0), 50.0):
+        ref = _near_zero(np.array([v]), series, closed)
+        for x0 in (float(v), np.float64(v), np.array(v)):
+            assert np.asarray(_near_zero(x0, series, closed)).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("mid", MODEL_IDS)
+def test_kernels_keep_python_floats_bitwise(mid):
+    # the polish runs the kernels on Python floats; they must round as on numpy scalars
+    rng = np.random.default_rng(20241)
+    xis, ks = rng.uniform(1e-4, 0.9999, 200).tolist(), rng.uniform(1e-2, 20.0, 200).tolist()
+    for beta in (1.0, -1.0, 0.3):
+        m = make_model(mid, beta=beta, alpha=1.5)  # only rm-fkdv-kp reads alpha
+        builtin_float = m.symbol.id in ("kdv", "bo", "fkdv", "reduced")
+        for xi, k in zip(xis, ks):
+            v = _rho_sq(m, xi - 1.0, xi, k)
+            ref = _rho_sq(m, np.float64(xi) - 1.0, np.float64(xi), np.float64(k))
+            assert float(v).hex() == float(ref).hex()
+            if builtin_float:
+                assert type(_j(m, k)) is float and type(v) is float
 
 
 def test_a_custom_callable_may_receive_a_numpy_scalar():
