@@ -172,8 +172,8 @@ def _make_record(model: ModelSpec, n: int, theta: int, xi: float, k: float,
         # the common frequency is exactly zero; do not let rounding pick a sign
         kn = km = 0
     else:
-        kn = krein_signature(model, n, rho_c, xi, k)
-        km = krein_signature(model, m, rho_c, xi, k)
+        # both modes share the frequency w, so each signature is the sign of w / (j + xi)
+        kn, km = (int(np.sign(w / (j + xi))) for j in (n, m))
     return CollisionRecord(
         n=n, m=m, xi=xi, k=float(k), rho_c=rho_c, omega_c=float(w),
         krein_n=kn, krein_m=km,

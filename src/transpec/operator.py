@@ -6,10 +6,10 @@ In the Fourier basis it is diagonal at zero amplitude (entries
 wave profile.  At xi = 0 the zero mode is removed, which realizes the
 mean-zero restriction exactly.
 
-Every entry is i times a real number, so the operator is stored as the 13
-nonzero diagonals of its real generator R, A = iR, and both solvers work on R:
-the dense path builds the dense R when it reads it, and the shift-invert path
-factorises the band of R - s without ever forming a dense matrix.
+Every entry is i times a real number, so the operator is stored as the 7
+nonzero diagonals (13 with a cubic term) of its real generator R, A = iR. Both
+solvers work on R: the dense path builds the dense R when it reads it, and the
+shift-invert path factorises the band of R - s without forming a dense matrix.
 """
 
 from __future__ import annotations
@@ -25,17 +25,13 @@ from .stokes import StokesWave, build_wave, profile_coefficients
 from .symbols import ModelSpec, _omega_at_zero_rho
 
 
-#: Diagonal offsets (column - row) of the stored bands of R.
-_OFFSETS = np.arange(-6, 7)
-
-
 @dataclass(frozen=True, slots=True)
 class OperatorMatrix:
     """Truncation of the linearized operator on modes |n| <= N, stored by diagonals.
 
-    ``bands`` holds the real generator R of A = iR in scipy's DIA layout:
-    ``bands[i, j] = R[j - _OFFSETS[i], j]``.  ``generator`` (the dense R) and
-    ``matrix`` (A) are built on each read.
+    ``bands`` holds the 2h + 1 diagonals of the real generator R of A = iR in
+    scipy's DIA layout, offsets -h..h: ``bands[i, j] = R[j - (i - h), j]``.
+    ``generator`` (the dense R) and ``matrix`` (A) are built on each read.
     """
 
     N: int
@@ -55,7 +51,7 @@ class OperatorMatrix:
         R = np.zeros((dim, dim))
         flat = R.reshape(-1)
         # the entries of one diagonal are dim + 1 apart in the row-major buffer
-        for offset, band in zip(_OFFSETS.tolist(), self.bands):
+        for offset, band in enumerate(self.bands, -(len(self.bands) // 2)):
             lo, hi = max(offset, 0), dim + min(offset, 0)
             start = (lo - offset) * dim + lo
             flat[start:start + (hi - lo) * (dim + 1):dim + 1] = band[lo:hi]
@@ -115,9 +111,9 @@ def assemble_operator(model: ModelSpec, wave: StokesWave, rho: float, xi: float,
 
     The diagonal of R is ``Omega(n, rho, xi)`` plus the speed correction
     ``p k^2 (c(eps) - c0)``, ``p = n + xi``.  Off-diagonals are ``p k^2``
-    times the Fourier coefficients of ``-2 alpha1 eta - 3 alpha2 eta^2``, so
-    the bandwidth is 3 (or 6 with a cubic term).  At xi = 0 the zero mode is
-    excluded.
+    times the Fourier coefficients of ``-2 alpha1 eta - 3 alpha2 eta^2``: 2h + 1
+    diagonals, h = 3 (the wave's harmonics) or 6 with a cubic term.  At
+    xi = 0 the zero mode is excluded.
     """
     _check_modes(N)
     if not (-0.5 < xi <= 0.5):
@@ -128,26 +124,26 @@ def assemble_operator(model: ModelSpec, wave: StokesWave, rho: float, xi: float,
     p = ns + xi
     k = wave.k
 
-    eta_hat = profile_coefficients(wave)           # offsets -3..3
-    sq_hat = np.convolve(eta_hat, eta_hat)         # offsets -6..6
-    g_hat = np.zeros(13)                           # offsets -6..6
-    g_hat[3:10] += -2.0 * model.alpha1 * eta_hat
-    g_hat += -3.0 * model.alpha2 * sq_hat
+    eta_hat = profile_coefficients(wave)           # offsets -M..M
+    g_hat = -2.0 * model.alpha1 * eta_hat
+    if model.alpha2 != 0.0:                        # a cubic term widens it to -2M..2M
+        g_hat = np.pad(g_hat, g_hat.size // 2) - 3.0 * model.alpha2 * np.convolve(eta_hat, eta_hat)
+    h = g_hat.size // 2
 
-    # column j of band i holds row j - _OFFSETS[i]; |n_row - n_col| is at least
-    # |row - col| (more across the zero-mode gap), so the 13 bands hold every
-    # entry, and slots that fall outside the matrix stay 0
+    # column j of band i holds row j - (i - h); |n_row - n_col| is at least
+    # |row - col| (more across the zero-mode gap), so the 2h + 1 bands hold
+    # every entry, and slots that fall outside the matrix stay 0
     cols = np.arange(ns.size)
-    rows = cols - _OFFSETS[:, None]
+    rows = cols - np.arange(-h, h + 1)[:, None]
     inside = (rows >= 0) & (rows < ns.size)
     rows = np.where(inside, rows, cols)
     mode_offsets = ns[rows] - ns[cols]
-    keep = inside & (np.abs(mode_offsets) <= 6)
-    bands = np.zeros((_OFFSETS.size, ns.size))
-    bands[keep] = p[rows[keep]] * k**2 * g_hat[mode_offsets[keep] + 6]
+    keep = inside & (np.abs(mode_offsets) <= h)
+    bands = np.zeros((g_hat.size, ns.size))
+    bands[keep] = p[rows[keep]] * k**2 * g_hat[mode_offsets[keep] + h]
     speed_shift = p * k**2 * (wave.speed - wave.c0)
-    # band 6 (offset 0) is the main diagonal
-    bands[6] += _omega_at_zero_rho(model, p, k) - rho**2 / p + speed_shift
+    # band h (offset 0) is the main diagonal
+    bands[h] += _omega_at_zero_rho(model, p, k) - rho**2 / p + speed_shift
     return OperatorMatrix(N=N, modes=ns, bands=bands, wave=wave, rho=float(rho), xi=float(xi))
 
 
@@ -208,16 +204,16 @@ def shift_invert_eigs(model: ModelSpec, wave: StokesWave, rho: float, xi: float,
     if not np.isfinite(shift):
         raise ValidationError(f"shift must be finite, got {shift}")
     op = assemble_operator(model, wave, rho, xi, N)
-    dim = op.dim
+    dim, h = op.dim, len(op.bands) // 2
     if count >= dim - 1:
         raise ValidationError("count must be below the truncated dimension - 1")
     s = shift.imag if shift.real == 0 else complex(shift.imag, -shift.real)
     ab = _shifted_band_layout(op, s)
     gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))  # d or z by ab's dtype, as ARPACK
-    lu, piv, info = gbtrf(ab, 6, 6, overwrite_ab=True)
+    lu, piv, info = gbtrf(ab, h, h, overwrite_ab=True)
     if info > 0:
         raise NumericalError(f"banded LU of R - s is exactly singular at shift={shift}")
-    solve = spla.LinearOperator((dim, dim), lambda x: gbtrs(lu, 6, 6, x, piv)[0], dtype=lu.dtype)
+    solve = spla.LinearOperator((dim, dim), lambda x: gbtrs(lu, h, h, x, piv)[0], dtype=lu.dtype)
     # a roomy Krylov space keeps far shifts convergent (the transformed
     # spectrum clusters when the shift is far from every eigenvalue)
     ncv = min(dim, max(4 * count + 5, 30))
@@ -231,10 +227,11 @@ def shift_invert_eigs(model: ModelSpec, wave: StokesWave, rho: float, xi: float,
 
 
 def _shifted_band_layout(op: OperatorMatrix, s: complex) -> np.ndarray:
-    """R - s as LAPACK band storage for kl = ku = 6: ``ab[12 + i - j, j]``, rows 0-5 for fill-in."""
-    ab = np.zeros((19, op.dim), dtype=np.result_type(op.bands, s), order="F")
-    ab[12 - _OFFSETS] = op.bands  # the DIA bands are column-aligned the same way
-    ab[12] -= s
+    """R - s as LAPACK band storage, kl = ku = h (3, or 6 with a cubic term): ``ab[2h + i - j, j]``."""
+    h = len(op.bands) // 2
+    ab = np.zeros((3 * h + 1, op.dim), dtype=np.result_type(op.bands, s), order="F")
+    ab[h:] = op.bands[::-1]  # the DIA bands are column-aligned the same way
+    ab[2 * h] -= s
     return ab
 
 

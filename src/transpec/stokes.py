@@ -22,11 +22,8 @@ from .symbols import ModelSpec, _check_wavenumber, _omega_at_zero_rho, _sign_cha
 #: Half-distance in k below which a wavenumber counts as resonant.
 RESONANCE_TOL = 1e-6
 
-#: Highest harmonic checked by the resonance guard.
-RESONANCE_GUARD_NMAX = 16
-
-#: The harmonics n = 2 .. RESONANCE_GUARD_NMAX that the resonance guard checks.
-_GUARD_HARMONICS = np.arange(2, RESONANCE_GUARD_NMAX + 1)
+#: The harmonics n = 2 .. 16 that the resonance guard checks.
+_GUARD_HARMONICS = np.arange(2, 17)
 
 
 @dataclass(frozen=True)
@@ -122,31 +119,28 @@ def wave_profile(wave: StokesWave, z):
 
 
 def profile_coefficients(wave: StokesWave) -> np.ndarray:
-    """Complex Fourier coefficients of the profile, index offset 3 (j = -3..3)."""
+    """Fourier coefficients of the profile, j = -M..M (M = 3); callers take M from the length."""
     e = wave.eps
     half = np.array([e / 2, e**2 * wave.eta2 / 2, e**3 * wave.eta3 / 2])
-    coeff = np.zeros(7)
-    coeff[4:7] = half
-    coeff[0:3] = half[::-1]
-    return coeff
+    return np.concatenate((half[::-1], [0.0], half))
 
 
 def residual_norm(model: ModelSpec, wave: StokesWave) -> float:
     """L2 norm of the traveling-wave equation applied to the truncated wave.
 
     Evaluates k^2(-c eta'' + J_k eta'' + a1 (eta^2)'' + a2 (eta^3)'') - gamma eta
-    on the Fourier modes |j| <= 9, outside which every term vanishes, and
+    on the Fourier modes |j| <= 3M, outside which every term vanishes, and
     returns the norm of the coefficient vector.  Decays as O(eps^4) for fixed
     admissible k.
     """
     check_resonance(model, wave.k)
-    eta_hat = profile_coefficients(wave)          # j = -3..3
-    sq_hat = np.convolve(eta_hat, eta_hat)        # j = -6..6
-    cu_hat = np.convolve(sq_hat, eta_hat)         # j = -9..9
+    eta_hat = profile_coefficients(wave)          # j = -M..M
+    sq_hat = np.convolve(eta_hat, eta_hat)        # j = -2M..2M
+    cu_hat = np.convolve(sq_hat, eta_hat)         # j = -3M..3M
     k, g = wave.k, model.gamma
     c = wave.speed
-    js = np.arange(-9, 10)
-    eh, sh = np.pad(eta_hat, 6), np.pad(sq_hat, 3)
+    js = np.arange(cu_hat.size) - cu_hat.size // 2
+    eh, sh = (np.pad(a, (cu_hat.size - a.size) // 2) for a in (eta_hat, sq_hat))
     jeff = model.j_eff(k * js.astype(float))
     F = k**2 * js**2 * (c * eh - jeff * eh - model.alpha1 * sh - model.alpha2 * cu_hat) - g * eh
     return float(np.sqrt(np.sum(np.abs(F) ** 2)))

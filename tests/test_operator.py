@@ -337,17 +337,19 @@ def test_shift_invert_is_reproducible():
 def test_banded_csc_matches_the_dense_generator(mid, xi, N):
     # the band array that shift_invert_eigs factorises unpacks, entry for
     # entry, to R - s, across the zero-mode gap at xi = 0 as well
+    # (half-width h = 3 for a quadratic nonlinearity, 6 with a cubic term)
     m = make_model(mid, gamma=1.0, beta=1.0, alpha=1.5 if mid == "rm-fkdv-kp" else None)
     wave = build_wave(m, 1.3, 0.05, check=False)
     op = assemble_operator(m, wave, 0.9, xi, N)
-    assert op.bands.shape == (13, op.dim)
+    h = 3 if m.alpha2 == 0.0 else 6
+    assert op.bands.shape == (2 * h + 1, op.dim)
     for s, dtype in [(0.379, np.float64), (0.379 - 0.05j, np.complex128)]:
         ab = _shifted_band_layout(op, s)
-        assert ab.shape == (19, op.dim) and ab.dtype == dtype
+        assert ab.shape == (3 * h + 1, op.dim) and ab.dtype == dtype
         unpacked = np.zeros((op.dim, op.dim), dtype=dtype)
         for j in range(op.dim):
-            for row in range(19):
-                i = j + row - 12
+            for row in range(3 * h + 1):
+                i = j + row - 2 * h
                 if 0 <= i < op.dim:
                     unpacked[i, j] = ab[row, j]
                 else:
@@ -373,6 +375,36 @@ def test_shift_invert_equals_eigs_on_the_dense_generator():
     assert si.eigenvalues.size == 4
     for lam in si.eigenvalues:
         assert np.min(np.abs(ev - lam)) < 1e-13 * max(1.0, abs(lam))
+
+
+@pytest.mark.parametrize("mid", ["rmkp", "rmbo-kp", "rm-whitham-kp"])
+def test_shift_invert_matches_a_solve_on_13_diagonals(mid):
+    # the 7 stored diagonals of a quadratic model, padded with zero diagonals
+    # to 13 and factorised with kl = ku = 6, give the same eigenvalues bit for bit
+    import scipy.sparse.linalg as spla
+    from scipy.linalg import get_lapack_funcs
+
+    m = make_model(mid, gamma=1.0, beta=1.0)
+    wave = build_wave(m, 2.0, 0.01, check=False)
+    for N in (16, 64):
+        for xi in (0.0, 0.3, -0.4789):
+            for shift in (0.37916j, 0.05 + 0.37916j):
+                got = shift_invert_eigs(m, wave, 1.5, xi, N, shift=shift, count=4).eigenvalues
+                op = assemble_operator(m, wave, 1.5, xi, N)
+                assert op.bands.shape == (7, op.dim)
+                s = shift.imag if shift.real == 0 else complex(shift.imag, -shift.real)
+                ab = np.zeros((19, op.dim), dtype=np.result_type(op.bands, s), order="F")
+                ab[12 - np.arange(-6, 7)] = np.pad(op.bands, ((3, 3), (0, 0)))
+                ab[12] -= s
+                gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+                lu, piv, info = gbtrf(ab, 6, 6, overwrite_ab=True)
+                assert info == 0
+                solve = spla.LinearOperator((op.dim, op.dim),
+                                            lambda x: gbtrs(lu, 6, 6, x, piv)[0], dtype=lu.dtype)
+                mu = spla.eigs(solve, k=4, sigma=s, OPinv=solve, which="LM",
+                               ncv=min(op.dim, 30), tol=0, maxiter=200 * op.dim,
+                               v0=np.ones(op.dim, dtype=lu.dtype), return_eigenvectors=False)
+                assert got.tobytes() == _sorted(1j * mu).tobytes()
 
 
 @pytest.mark.parametrize("N", [24, 64])
@@ -428,8 +460,8 @@ def test_large_operator_holds_only_its_bands():
     m = make_model("rmkp", gamma=1.0, beta=1.0)
     wave = build_wave(m, 2.0, 0.01, check=False)
     op = assemble_operator(m, wave, 1.5, 0.5, N=2100)
-    assert op.bands.shape == (13, 4201)
-    assert op.bands.nbytes == 13 * 4201 * 8  # 0.44 MB; the dense R would be 141 MB
+    assert op.bands.shape == (7, 4201)
+    assert op.bands.nbytes == 7 * 4201 * 8  # 0.24 MB; the dense R would be 141 MB
     with pytest.raises(ValidationError):
         eig_dense(op)
 
