@@ -12,7 +12,6 @@ from .collisions import (
     collision_rho_squared,
     collision_wavenumber_window,
     enumerate_potentially_unstable,
-    is_origin_collision,
     krein_signature,
     omega,
 )

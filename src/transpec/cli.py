@@ -178,10 +178,11 @@ def _cmd_wave(args) -> int:
         raise ValidationError(f"--samples must be non-negative, got {args.samples}")
     model = model_from(args)
     wave = stokes.build_wave(model, args.k, args.eps)
+    eta2, eta3, c2 = stokes.stokes_coefficients(model, args.k)
     record = {
         "model": args.model, "gamma": model.gamma, "beta": model.beta,
         "k": args.k, "eps": args.eps,
-        "eta2": wave.eta2, "eta3": wave.eta3, "c0": wave.c0, "c2": wave.c2,
+        "eta2": eta2, "eta3": eta3, "c0": wave.c0, "c2": c2,
         "residual": stokes.residual_norm(model, wave),
     }
     _write_text(args.json, dumps(record))

@@ -88,7 +88,7 @@ def _rho_sq(model: ModelSpec, p, q, k):
     return p * q * (_omega_at_zero_rho(model, p, k) - _omega_at_zero_rho(model, q, k)) / (q - p)
 
 
-def is_origin_collision(n: int, theta: int, xi: float) -> bool:
+def _is_origin_collision(n: int, theta: int, xi: float) -> bool:
     """True for the mirror pair n + xi = -(n + theta + xi), which collides at zero frequency."""
     return abs(xi + (n + theta / 2)) < 1e-12
 
@@ -167,7 +167,7 @@ def _make_record(model: ModelSpec, n: int, theta: int, xi: float, k: float,
     m = n + theta
     rho_c = math.sqrt(max(rho_sq, 0.0))
     w = omega(model, n, rho_c, xi, k)
-    at_origin = is_origin_collision(n, theta, xi) or abs(w) < 1e-10
+    at_origin = _is_origin_collision(n, theta, xi) or abs(w) < 1e-10
     if at_origin:
         # the common frequency is exactly zero; do not let rounding pick a sign
         kn = km = 0

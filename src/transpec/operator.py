@@ -2,12 +2,13 @@
 
 The operator acts on Bloch waves ``e^{i xi z}`` times 2pi-periodic functions.
 In the Fourier basis it is diagonal at zero amplitude (entries
-``i Omega(n, rho, xi)``) plus a banded perturbation from the three-harmonic
-wave profile.  At xi = 0 the zero mode is removed, which realizes the
+``i Omega(n, rho, xi)``) plus a banded perturbation from the Fourier series
+of the wave profile.  At xi = 0 the zero mode is removed, which realizes the
 mean-zero restriction exactly.
 
-Every entry is i times a real number, so the operator is stored as the 7
-nonzero diagonals (13 with a cubic term) of its real generator R, A = iR. Both
+Every entry is i times a real number, so the operator is stored as the
+2M + 1 nonzero diagonals (4M + 1 with a cubic term) of its real generator R,
+A = iR, for a wave of M harmonics: 7 or 13 for the expansion's M = 3. Both
 solvers work on R: the dense path builds the dense R when it reads it, and the
 shift-invert path factorises the band of R - s without forming a dense matrix.
 """
@@ -21,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
-from .stokes import StokesWave, build_wave, profile_coefficients
+from .stokes import StokesWave, build_wave
 from .symbols import ModelSpec, _omega_at_zero_rho
 
 
@@ -112,7 +113,7 @@ def assemble_operator(model: ModelSpec, wave: StokesWave, rho: float, xi: float,
     The diagonal of R is ``Omega(n, rho, xi)`` plus the speed correction
     ``p k^2 (c(eps) - c0)``, ``p = n + xi``.  Off-diagonals are ``p k^2``
     times the Fourier coefficients of ``-2 alpha1 eta - 3 alpha2 eta^2``: 2h + 1
-    diagonals, h = 3 (the wave's harmonics) or 6 with a cubic term.  At
+    diagonals, h = M (the wave's harmonics) or 2M with a cubic term.  At
     xi = 0 the zero mode is excluded.
     """
     _check_modes(N)
@@ -124,7 +125,7 @@ def assemble_operator(model: ModelSpec, wave: StokesWave, rho: float, xi: float,
     p = ns + xi
     k = wave.k
 
-    eta_hat = profile_coefficients(wave)           # offsets -M..M
+    eta_hat = wave.coefficients                    # offsets -M..M
     g_hat = -2.0 * model.alpha1 * eta_hat
     if model.alpha2 != 0.0:                        # a cubic term widens it to -2M..2M
         g_hat = np.pad(g_hat, g_hat.size // 2) - 3.0 * model.alpha2 * np.convolve(eta_hat, eta_hat)
@@ -227,7 +228,7 @@ def shift_invert_eigs(model: ModelSpec, wave: StokesWave, rho: float, xi: float,
 
 
 def _shifted_band_layout(op: OperatorMatrix, s: complex) -> np.ndarray:
-    """R - s as LAPACK band storage, kl = ku = h (3, or 6 with a cubic term): ``ab[2h + i - j, j]``."""
+    """R - s as LAPACK band storage, kl = ku = h (M, or 2M with a cubic term): ``ab[2h + i - j, j]``."""
     h = len(op.bands) // 2
     ab = np.zeros((3 * h + 1, op.dim), dtype=np.result_type(op.bands, s), order="F")
     ab[h:] = op.bands[::-1]  # the DIA bands are column-aligned the same way

@@ -1,6 +1,8 @@
 """Small-amplitude periodic traveling waves of the one-dimensional reduction.
 
-The wave is the three-harmonic expansion
+A wave is its speed and the Fourier series eta_j = eta_{-j}, j = -M..M, of its
+even, mean-free profile eta(z) = sum_{j=1..M} 2 eta_j cos jz.  ``build_wave``
+writes that series once, from the three-harmonic expansion
 
     eta(z) = eps cos z + eps^2 eta2 cos 2z + eps^3 eta3 cos 3z,
     c(eps) = c0 + eps^2 c2,
@@ -26,20 +28,15 @@ RESONANCE_TOL = 1e-6
 _GUARD_HARMONICS = np.arange(2, 17)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StokesWave:
-    """A small-amplitude wave: wavenumber, amplitude and expansion coefficients."""
+    """A wave: wavenumber, amplitude, speeds c0 and c(eps), read-only series j = -M..M."""
 
     k: float
     eps: float
-    eta2: float
-    eta3: float
     c0: float
-    c2: float
-
-    @property
-    def speed(self) -> float:
-        return self.c0 + self.eps**2 * self.c2
+    speed: float
+    coefficients: np.ndarray
 
 
 def phase_speed_c0(model: ModelSpec, k: float) -> float:
@@ -94,7 +91,11 @@ def build_wave(model: ModelSpec, k: float, eps: float = 0.01,
                check: bool = True) -> StokesWave:
     """Construct the wave at (k, eps), warning when the truncation is strained."""
     eta2, eta3, c2 = stokes_coefficients(model, k)
-    wave = StokesWave(float(k), float(eps), eta2, eta3, phase_speed_c0(model, k), c2)
+    c0, e = phase_speed_c0(model, k), float(eps)
+    half = np.array([e / 2, e**2 * eta2 / 2, e**3 * eta3 / 2])   # j = 1..3
+    coefficients = np.concatenate((half[::-1], [0.0], half))
+    coefficients.flags.writeable = False
+    wave = StokesWave(float(k), e, c0, c0 + e**2 * c2, coefficients)
     if check and eps != 0.0:
         res = residual_norm(model, wave)
         norm = abs(eps) / np.sqrt(2.0)
@@ -111,18 +112,11 @@ def build_wave(model: ModelSpec, k: float, eps: float = 0.01,
 def wave_profile(wave: StokesWave, z):
     """Profile eta(z); even and mean-free by construction."""
     z = np.asarray(z, dtype=float)
-    e = wave.eps
-    out = (e * np.cos(z)
-           + e**2 * wave.eta2 * np.cos(2 * z)
-           + e**3 * wave.eta3 * np.cos(3 * z))
+    half = wave.coefficients[wave.coefficients.size // 2 + 1:]   # j = 1..M
+    out = 2 * half[0] * np.cos(z)   # from the j = 1 term, so eps = 0 keeps each zero's sign
+    for j, c in enumerate(half[1:], 2):
+        out = out + 2 * c * np.cos(j * z)
     return out if out.ndim else float(out)
-
-
-def profile_coefficients(wave: StokesWave) -> np.ndarray:
-    """Fourier coefficients of the profile, j = -M..M (M = 3); callers take M from the length."""
-    e = wave.eps
-    half = np.array([e / 2, e**2 * wave.eta2 / 2, e**3 * wave.eta3 / 2])
-    return np.concatenate((half[::-1], [0.0], half))
 
 
 def residual_norm(model: ModelSpec, wave: StokesWave) -> float:
@@ -134,7 +128,7 @@ def residual_norm(model: ModelSpec, wave: StokesWave) -> float:
     admissible k.
     """
     check_resonance(model, wave.k)
-    eta_hat = profile_coefficients(wave)          # j = -M..M
+    eta_hat = wave.coefficients                   # j = -M..M
     sq_hat = np.convolve(eta_hat, eta_hat)        # j = -2M..2M
     cu_hat = np.convolve(sq_hat, eta_hat)         # j = -3M..3M
     k, g = wave.k, model.gamma

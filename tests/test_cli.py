@@ -26,6 +26,12 @@ def test_wave_json(capsys):
     assert record["eta2"] == pytest.approx(-2.0 / 9.0, rel=1e-12)
     assert record["c0"] == 2.0
     assert record["residual"] < 1e-7
+    # the 17-digit JSON carries the kernels' floats exactly
+    model = transpec.make_model("rmkp", gamma=1.0, beta=1.0)
+    assert (record["eta2"], record["eta3"], record["c2"]) == transpec.stokes_coefficients(model, 1.0)
+    assert record["c0"] == transpec.phase_speed_c0(model, 1.0)
+    wave = transpec.build_wave(model, 1.0, 0.01)
+    assert record["residual"] == transpec.residual_norm(model, wave)
 
 
 def test_wave_csv_deterministic(tmp_path, capsys):
@@ -227,13 +233,16 @@ def test_numerical_failure_exits_1(capsys):
     # these two ran on to exit 0 with answers built on inf and nan
     "collide --theta 2 --k 1e300",
     "atlas --gamma 1e300",
+    # this one wrote a manifest of overflowed points and exited 0
+    "sweep --eps 1e200 --rho-grid 1 --xi-grid 0.3 --N 8 --out-dir D",
 ])
-def test_overflow_is_a_numerical_failure(argv):
+def test_overflow_is_a_numerical_failure(argv, tmp_path):
     # a child process, since numpy may warn before Python float arithmetic
     # overflows or divides by zero, and the suite turns warnings into errors
     env = dict(os.environ, PYTHONPATH=str(Path(transpec.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "transpec.cli", *argv.split()],
-                          env=env, capture_output=True, text=True)
+                          env=env, capture_output=True, text=True, cwd=tmp_path)
+    assert list(tmp_path.iterdir()) == []  # no out-dir or file is left behind
     assert proc.returncode == 1
     # one typed line: numpy's floating-point warnings are raised, not printed
     assert len(proc.stderr.splitlines()) == 1

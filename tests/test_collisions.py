@@ -11,11 +11,11 @@ from transpec import (
     collision_rho_squared,
     collision_wavenumber_window,
     enumerate_potentially_unstable,
-    is_origin_collision,
     krein_signature,
     make_model,
     omega,
 )
+from transpec.collisions import _is_origin_collision
 
 RNG = np.random.default_rng(7130229)
 
@@ -341,12 +341,12 @@ def test_enumerate_krein_filter():
 
 
 def test_origin_collision_patterns():
-    assert is_origin_collision(-1, 2, 0.0)
-    assert is_origin_collision(-2, 3, 0.5)
-    assert not is_origin_collision(1, 1, 0.3)
-    assert not is_origin_collision(-1, 2, 0.25)
-    assert not is_origin_collision(-2, 4, 0.5)
-    assert is_origin_collision(-2, 4, 0.0)
+    assert _is_origin_collision(-1, 2, 0.0)
+    assert _is_origin_collision(-2, 3, 0.5)
+    assert not _is_origin_collision(1, 1, 0.3)
+    assert not _is_origin_collision(-1, 2, 0.25)
+    assert not _is_origin_collision(-2, 4, 0.5)
+    assert _is_origin_collision(-2, 4, 0.0)
 
 
 @pytest.mark.parametrize("mid, gamma, k, j", [("rmkp", 0.1, 0.3, 51), ("rmbo-kp", 3.0, 1.3, 2)])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,7 +22,6 @@ from transpec import (
     wave_profile,
 )
 from transpec.operator import Bubble, SpectrumResult, _rounding_floor, _shifted_band_layout
-from transpec.stokes import profile_coefficients
 from transpec.symbols import MODEL_IDS
 
 
@@ -86,6 +86,13 @@ def test_perturbation_bandwidth():
     assert presentg == {d for d in range(-6, 7) if d != 0}
 
 
+def _five_harmonics(wave):
+    """The wave with small 4th and 5th harmonics appended to its series."""
+    e, c = wave.eps, wave.coefficients
+    half = np.concatenate((c[c.size // 2 + 1:], [0.3 * e**4, -0.2 * e**5]))
+    return dataclasses.replace(wave, coefficients=np.concatenate((half[::-1], [0.0], half)))
+
+
 def _outer_reference(m, wave, rho, xi, N):
     """The real generator from the dense table of mode offsets n_i - n_j."""
     ns = np.arange(-N, N + 1)
@@ -93,13 +100,14 @@ def _outer_reference(m, wave, rho, xi, N):
         ns = ns[ns != 0]
     p = ns + xi
     k = wave.k
-    eta_hat = profile_coefficients(wave)
-    g_hat = np.zeros(13)
-    g_hat[3:10] += -2.0 * m.alpha1 * eta_hat
+    eta_hat = wave.coefficients
+    M = eta_hat.size // 2
+    g_hat = np.zeros(4 * M + 1)
+    g_hat[M:3 * M + 1] += -2.0 * m.alpha1 * eta_hat
     g_hat += -3.0 * m.alpha2 * np.convolve(eta_hat, eta_hat)
     offsets = np.subtract.outer(ns, ns)
-    R = np.where(np.abs(offsets) <= 6,
-                 p[:, None] * k**2 * g_hat[np.clip(offsets, -6, 6) + 6], 0.0)
+    R = np.where(np.abs(offsets) <= 2 * M,
+                 p[:, None] * k**2 * g_hat[np.clip(offsets, -2 * M, 2 * M) + 2 * M], 0.0)
     diag = np.array([omega(m, int(n), rho, xi, k) for n in ns])
     R[np.diag_indices_from(R)] += diag + p * k**2 * (wave.speed - wave.c0)
     return ns, R
@@ -111,12 +119,13 @@ def _outer_reference(m, wave, rho, xi, N):
 def test_generator_matches_the_offset_table(mid, xi, N):
     m = make_model(mid, gamma=1.0, beta=1.0)
     wave = build_wave(m, 1.3, 0.05, check=False)
-    op = assemble_operator(m, wave, 0.9, xi, N)
-    ns, R = _outer_reference(m, wave, 0.9, xi, N)
-    assert op.generator.dtype == np.float64
-    assert np.array_equal(op.modes, ns)
-    assert np.array_equal(op.generator, R)
-    assert np.array_equal(op.matrix, 1j * op.generator)
+    for w in (wave, _five_harmonics(wave)):
+        op = assemble_operator(m, w, 0.9, xi, N)
+        ns, R = _outer_reference(m, w, 0.9, xi, N)
+        assert op.generator.dtype == np.float64
+        assert np.array_equal(op.modes, ns)
+        assert np.array_equal(op.generator, R)
+        assert np.array_equal(op.matrix, 1j * op.generator)
 
 
 @pytest.mark.parametrize("mid,xi", [("rmkp", 0.3), ("rmg-kp", 0.3), ("rmkp", 0.0),
@@ -125,16 +134,19 @@ def test_columns_match_pseudospectral_application(mid, xi):
     m = make_model(mid, gamma=1.0, beta=1.0)
     N = 12
     wave = build_wave(m, 0.9, 0.02, check=False)
-    op = assemble_operator(m, wave, 0.7, xi, N)
-    scale = np.max(np.abs(op.matrix))
-    for n in (-5, -1, 0, 2, 6):
-        if xi == 0.0 and n == 0:
-            continue
-        coeffs, freqs = _fft_apply(m, wave, 0.7, xi, n, N)
-        col = op.matrix[:, list(op.modes).index(n)]
-        for i, mrow in enumerate(op.modes):
-            idx = int(mrow) % (4 * N)
-            assert abs(col[i] - coeffs[idx]) < 1e-10 * scale
+    # the longer series must be read in full: 11 diagonals, 21 with a cubic term
+    for w, M in ((wave, 3), (_five_harmonics(wave), 5)):
+        op = assemble_operator(m, w, 0.7, xi, N)
+        assert len(op.bands) == 2 * (2 * M if m.alpha2 else M) + 1
+        scale = np.max(np.abs(op.matrix))
+        for n in (-5, -1, 0, 2, 6):
+            if xi == 0.0 and n == 0:
+                continue
+            coeffs, freqs = _fft_apply(m, w, 0.7, xi, n, N)
+            col = op.matrix[:, list(op.modes).index(n)]
+            for i, mrow in enumerate(op.modes):
+                idx = int(mrow) % (4 * N)
+                assert abs(col[i] - coeffs[idx]) < 1e-10 * scale
 
 
 def test_dense_solver_on_diagonal_case():

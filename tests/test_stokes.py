@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,8 @@ from transpec import (
     stokes_coefficients,
     wave_profile,
 )
-from transpec.stokes import StokesWave, _resonance_mismatch, check_resonance
+from transpec.stokes import _resonance_mismatch, check_resonance
+from transpec.symbols import MODEL_IDS
 
 RNG = np.random.default_rng(20240817)
 
@@ -143,10 +145,54 @@ def test_profile_values():
     zero = build_wave(m, 1.0, 0.0, check=False)
     assert wave_profile(zero, 0.7) == 0.0
     wave = build_wave(m, 1.0, 0.1, check=False)
+    eta2, eta3, _ = stokes_coefficients(m, 1.0)
     # odd harmonics vanish at z = pi/2
-    assert wave_profile(wave, math.pi / 2) == pytest.approx(-0.01 * wave.eta2, abs=1e-14)
-    expected = 0.1 + 0.01 * wave.eta2 + 1e-3 * wave.eta3
+    assert wave_profile(wave, math.pi / 2) == pytest.approx(-0.01 * eta2, abs=1e-14)
+    expected = 0.1 + 0.01 * eta2 + 1e-3 * eta3
     assert wave_profile(wave, 0.0) == pytest.approx(expected, rel=1e-14)
+
+
+def test_wave_is_its_speed_and_series():
+    m = make_model("rmg-kp", gamma=1.0, beta=1.0)
+    wave = build_wave(m, 0.8, 0.05, check=False)
+    eta2, eta3, c2 = stokes_coefficients(m, 0.8)
+    assert [f.name for f in dataclasses.fields(wave)] == ["k", "eps", "c0", "speed", "coefficients"]
+    assert wave.speed == phase_speed_c0(m, 0.8) + 0.05**2 * c2
+    half = [0.05 / 2, 0.05**2 * eta2 / 2, 0.05**3 * eta3 / 2]
+    assert wave.coefficients.tolist() == half[::-1] + [0.0] + half
+    with pytest.raises(ValueError):
+        wave.coefficients[4] = 0.0
+
+
+def _three_term_profile(model, wave, z):
+    """The expansion's profile as three terms, the reference for the series sum."""
+    eta2, eta3, _ = stokes_coefficients(model, wave.k)
+    e = wave.eps
+    out = e * np.cos(z) + e**2 * eta2 * np.cos(2 * z) + e**3 * eta3 * np.cos(3 * z)
+    return out if out.ndim else float(out)
+
+
+def test_profile_series_matches_the_three_terms_bitwise():
+    z = np.linspace(0.0, 2 * np.pi, 256)
+    checked = 0
+    for mid in MODEL_IDS:
+        for beta in (1.0, -1.0):
+            m = make_model(mid, gamma=1.0, beta=beta, alpha=1.5 if mid == "rm-fkdv-kp" else None)
+            for k in (0.3, 0.6, 1.1, 1.7, 2.4):
+                try:
+                    check_resonance(m, k)
+                except ResonanceError:
+                    continue
+                # eps = 0 gives signed zeros, which the sum must keep
+                for eps in (0.0, 1e-3, 0.05, -0.02):
+                    wave = build_wave(m, k, eps, check=False)
+                    got = wave_profile(wave, z)
+                    assert got.tobytes() == _three_term_profile(m, wave, z).tobytes()
+                    for zs in (0.0, 0.7, math.pi):
+                        ref = _three_term_profile(m, wave, np.asarray(zs))
+                        assert np.float64(wave_profile(wave, zs)).tobytes() == np.float64(ref).tobytes()
+                    checked += 1
+    assert checked >= 300
 
 
 def test_profile_zero_mean():
@@ -180,7 +226,10 @@ def test_residual_ablation_drops_an_order():
     res = []
     for e in eps:
         full = build_wave(m, 0.6, e, check=False)
-        broken = StokesWave(full.k, full.eps, full.eta2, 0.0, full.c0, full.c2)
+        # eta3 = 0: the third harmonic, entries j = -3 and 3, is dropped
+        coefficients = full.coefficients.copy()
+        coefficients[[0, -1]] = 0.0
+        broken = dataclasses.replace(full, coefficients=coefficients)
         res.append(residual_norm(m, broken))
     slope = np.polyfit(np.log(eps), np.log(res), 1)[0]
     assert slope < 3.5
